@@ -313,9 +313,9 @@ def cmd_report(args):
         print("  (%s,%s)-(%s,%s) -> (%s,%s)"
               % (f["lo"][0], f["lo"][1], f["hi"][0], f["hi"][1],
                  f["dual"][0], f["dual"][1]))
-    print("alexander polynomial: %s"
-          % _poly_text(LaurentPoly.from_json_terms(report.alexander),
-                       family_n))
+    delta = (LaurentPoly.from_json_terms(report.alexander)
+             if family_n is None else None)
+    print("alexander polynomial: %s" % _poly_text(delta, family_n))
     print("sw basic classes: %d" % len(report.sw_basic_classes))
     print("canonical classes:")
     for c in report.canonical_classes:

@@ -28,6 +28,7 @@ to that node but not lying on the path.
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .errors import ComputationError
 
@@ -72,27 +73,39 @@ class Edge:
     weight_a: int
     weight_b: int
 
-    def weight_at(self, vid):
-        if vid == self.a:
-            return self.weight_a
-        if vid == self.b:
-            return self.weight_b
-        raise UnknownVertex("edge %s-%s has no end %r" % (self.a, self.b, vid))
 
-    def other(self, vid):
-        if vid == self.a:
-            return self.b
-        if vid == self.b:
-            return self.a
-        raise UnknownVertex("edge %s-%s has no end %r" % (self.a, self.b, vid))
+def _adjacency(vertices, edges):
+    """Vertex id -> [(neighbour id, weight at this end)], with an entry
+    for every declared vertex and every edge end."""
+    adj = {v.id: [] for v in vertices}
+    for e in edges:
+        adj.setdefault(e.a, []).append((e.b, e.weight_a))
+        adj.setdefault(e.b, []).append((e.a, e.weight_b))
+    return adj
+
+
+def _bfs(adj, start):
+    """Parent map of a breadth-first search of `adj` from `start`: every
+    reached vertex maps to the one it was reached from, `start` to None."""
+    parents = {start: None}
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        for nxt, _weight in adj[cur]:
+            if nxt not in parents:
+                parents[nxt] = cur
+                queue.append(nxt)
+    return parents
 
 
 class SpliceDiagram:
     """A named weighted tree of nodes, boundary vertices and arrowheads.
 
     Instances are treated as immutable after construction; derived data
-    (the linking forms of the virtual components) is computed once and
-    cached.
+    is computed once and cached: the adjacency map (vertex id to its
+    (neighbour id, weight at this end) pairs), built on first use so that
+    invalid diagrams can still be constructed and validated, and the
+    linking forms of the virtual components.
     """
 
     def __init__(self, name, vertices, edges):
@@ -104,6 +117,10 @@ class SpliceDiagram:
             self._by_id.setdefault(v.id, v)
         self._forms = None
 
+    @cached_property
+    def _adj(self):
+        return _adjacency(self.vertices, self.edges)
+
     def vertex(self, vid):
         try:
             return self._by_id[vid]
@@ -114,11 +131,9 @@ class SpliceDiagram:
     def has_vertex(self, vid):
         return vid in self._by_id
 
-    def incident(self, vid):
-        return [e for e in self.edges if vid in (e.a, e.b)]
-
     def degree(self, vid):
-        return sum(1 for e in self.edges for end in (e.a, e.b) if end == vid)
+        self.vertex(vid)
+        return len(self._adj[vid])
 
     @property
     def arrowheads(self):
@@ -133,26 +148,18 @@ class SpliceDiagram:
         return [v for v in self.vertices if v.kind is VertexKind.BOUNDARY]
 
     def path(self, start, goal):
-        """Vertex ids along the unique tree path, endpoints included."""
+        """Vertex ids along the unique tree path, endpoints included.
+        Raises ValidationError when no path joins them."""
         self.vertex(start)
         self.vertex(goal)
-        parents = {start: None}
-        queue = deque([start])
-        while queue:
-            cur = queue.popleft()
-            if cur == goal:
-                out = []
-                while cur is not None:
-                    out.append(cur)
-                    cur = parents[cur]
-                return out[::-1]
-            for e in self.incident(cur):
-                nxt = e.other(cur)
-                if nxt not in parents:
-                    parents[nxt] = cur
-                    queue.append(nxt)
-        raise ValueError("no path from %r to %r (diagram is not connected)"
-                         % (start, goal))
+        parents = _bfs(self._adj, start)
+        if goal not in parents:
+            raise ValidationError(["NotATree: diagram is disconnected"])
+        out = []
+        while goal is not None:
+            out.append(goal)
+            goal = parents[goal]
+        return out[::-1]
 
     def virtual_forms(self):
         """(vertex, lk(K1, v), lk(K2, v), degree) for every node and
@@ -176,22 +183,19 @@ def linking_number(d, v, w):
 
     Product over all nodes on the tree path from v to w (endpoints count
     when they are nodes) of the node-end weights of every incident edge
-    not on the path.
+    not on the path, that is, of every edge to a neighbour other than the
+    node's path neighbours.
     """
     if v == w:
         raise ValueError("linking number needs two distinct vertices")
-    d.vertex(v)
-    d.vertex(w)
     path = d.path(v, w)
-    on_path = {frozenset(pair) for pair in zip(path, path[1:])}
     result = 1
-    for vid in path:
+    for prev, vid, nxt in zip([None] + path, path, path[1:] + [None]):
         if d.vertex(vid).kind is not VertexKind.NODE:
             continue
-        for e in d.incident(vid):
-            if frozenset((e.a, e.b)) in on_path:
-                continue
-            result *= e.weight_at(vid)
+        for nbr, weight in d._adj[vid]:
+            if nbr != prev and nbr != nxt:
+                result *= weight
     return result
 
 
@@ -228,35 +232,20 @@ def validate(d):
         problems.append("ArrowheadCount: expected 2 arrowheads, found %d"
                         % len(arrows))
 
-    deg = {v.id: 0 for v in d.vertices}
-    for e in usable:
-        deg[e.a] += 1
-        deg[e.b] += 1
+    adj = _adjacency(d.vertices, usable)
     for v in d.vertices:
-        if v.kind is not VertexKind.NODE and deg.get(v.id, 0) != 1:
+        degree = len(adj[v.id])
+        if v.kind is not VertexKind.NODE and degree != 1:
             problems.append("LeafDegree: %s %r has degree %d, leaves must "
-                            "have degree 1" % (v.kind.value, v.id, deg[v.id]))
+                            "have degree 1" % (v.kind.value, v.id, degree))
 
     if not d.vertices:
         problems.append("NotATree: empty diagram")
     elif len(usable) != len(ids) - 1:
         problems.append("NotATree: %d vertices need %d edges, found %d"
                         % (len(ids), len(ids) - 1, len(usable)))
-    else:
-        adj = {v.id: [] for v in d.vertices}
-        for e in usable:
-            adj[e.a].append(e.b)
-            adj[e.b].append(e.a)
-        start = d.vertices[0].id
-        reached = {start}
-        queue = deque([start])
-        while queue:
-            for nxt in adj[queue.popleft()]:
-                if nxt not in reached:
-                    reached.add(nxt)
-                    queue.append(nxt)
-        if reached != ids:
-            problems.append("NotATree: diagram is disconnected")
+    elif _bfs(adj, d.vertices[0].id).keys() != ids:
+        problems.append("NotATree: diagram is disconnected")
 
     return problems
 

@@ -1,5 +1,9 @@
+import random
+from collections import deque
+
 import pytest
 
+from splicelink.errors import ComputationError
 from splicelink.splice import (DiagramSyntaxError, Edge, SpliceDiagram,
                                UnknownVertex, ValidationError, Vertex,
                                VertexKind, build_k2n, linking_number,
@@ -216,3 +220,114 @@ class TestValidate:
             Edge("H1", "KX", 1, 1),
         ])
         assert any(v.startswith("UnknownVertex") for v in validate(diagram))
+
+    def test_disconnected_path_names_the_cause(self):
+        diagram = SpliceDiagram("X", [
+            Vertex("H1", VertexKind.NODE),
+            Vertex("H2", VertexKind.NODE),
+            Vertex("K1", VertexKind.ARROW),
+            Vertex("K2", VertexKind.ARROW),
+        ], [
+            Edge("H1", "K1", 1, 1),
+            Edge("H2", "K2", 1, 1),
+        ])
+        for call in (lambda: diagram.path("K1", "K2"),
+                     lambda: linking_number(diagram, "K1", "K2")):
+            with pytest.raises(ValidationError) as info:
+                call()
+            assert isinstance(info.value, ComputationError)
+            assert info.value.violations == [
+                "NotATree: diagram is disconnected"]
+
+
+# ------------------------------------------------- edge-list path-rule oracle
+
+def oracle_path(d, start, goal):
+    """Breadth-first search that scans the whole edge list at every vertex."""
+    parents = {start: None}
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        for e in d.edges:
+            if cur in (e.a, e.b):
+                nxt = e.b if cur == e.a else e.a
+                if nxt not in parents:
+                    parents[nxt] = cur
+                    queue.append(nxt)
+    out = [goal]
+    while parents[out[-1]] is not None:
+        out.append(parents[out[-1]])
+    return out[::-1]
+
+
+def oracle_linking_number(d, v, w):
+    """Path rule with the path's edges excluded as unordered pairs."""
+    path = oracle_path(d, v, w)
+    on_path = {frozenset(pair) for pair in zip(path, path[1:])}
+    result = 1
+    for vid in path:
+        if d.vertex(vid).kind is not VertexKind.NODE:
+            continue
+        for e in d.edges:
+            if vid in (e.a, e.b) and frozenset((e.a, e.b)) not in on_path:
+                result *= e.weight_a if vid == e.a else e.weight_b
+    return result
+
+
+def oracle_degree(d, vid):
+    return sum(1 for e in d.edges for end in (e.a, e.b) if end == vid)
+
+
+def random_diagram(seed):
+    """A valid diagram: a random tree of 1..6 nodes of degree at most 5,
+    two arrowheads and 0..6 boundary vertices hung on nodes with room,
+    weights 1..6 at both ends, declaration and edge order shuffled and edge
+    ends swapped at random."""
+    rng = random.Random(seed)
+    nodes = ["H%d" % i for i in range(1, rng.randint(1, 6) + 1)]
+    degree = dict.fromkeys(nodes, 0)
+    pairs = []
+
+    def attach(vid, candidates):
+        node = rng.choice([h for h in candidates if degree[h] < 5])
+        degree[node] += 1
+        pairs.append((node, vid))
+
+    for i, node in enumerate(nodes[1:], 1):
+        attach(node, nodes[:i])
+        degree[node] += 1
+    vertices = [Vertex(h, VertexKind.NODE) for h in nodes]
+    leaves = [Vertex("K1", VertexKind.ARROW), Vertex("K2", VertexKind.ARROW)]
+    leaves += [Vertex("S%d" % i, VertexKind.BOUNDARY)
+               for i in range(1, rng.randint(0, 6) + 1)]
+    for leaf in leaves:  # the nodes have room for at least five leaves
+        if all(degree[h] == 5 for h in nodes):
+            break
+        attach(leaf.id, nodes)
+        vertices.append(leaf)
+    rng.shuffle(vertices)
+    edges = []
+    for a, b in pairs:
+        if rng.random() < 0.5:
+            a, b = b, a
+        edges.append(Edge(a, b, rng.randint(1, 6), rng.randint(1, 6)))
+    rng.shuffle(edges)
+    return SpliceDiagram("R%d" % seed, vertices, edges)
+
+
+DIFFERENTIAL_CASES = ([("chain", n) for n in (1, 2, 3)]
+                      + [("random", seed) for seed in range(40)])
+
+
+@pytest.mark.parametrize("kind,arg", DIFFERENTIAL_CASES)
+def test_adjacency_map_matches_edge_list_oracle(kind, arg):
+    d = build_k2n(arg) if kind == "chain" else random_diagram(arg)
+    assert validate(d) == []
+    ids = [v.id for v in d.vertices]
+    for v in ids:
+        assert d.degree(v) == oracle_degree(d, v)
+        for w in ids:
+            if v != w:
+                assert d.path(v, w) == oracle_path(d, v, w)
+                assert linking_number(d, v, w) == \
+                    oracle_linking_number(d, v, w)
