@@ -22,13 +22,14 @@ text, so NO_COLOR needs no special handling.  Classes are passed as
 """
 
 import argparse
+import functools
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ComputationError
 from .invariants import (alexander_polynomial, boundary_slope, is_fibered,
-                         nonfibered_rays, thurston_norm)
+                         thurston_norm)
 from .laurent import LaurentPoly
 from .orbits import face_orbits, lattice_symmetries
 from .polytope import unit_ball
@@ -162,7 +163,10 @@ class Report:
     homotopy_k3: bool
 
     def to_json(self):
-        return json.dumps(asdict(self), indent=2) + "\n"
+        # Shallow: json.dumps walks the nested lists and dicts itself, so
+        # copying them first (as dataclasses.asdict does) changes no byte.
+        return json.dumps({f.name: getattr(self, f.name)
+                           for f in fields(self)}, indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text):
@@ -192,7 +196,7 @@ def build_report(d, family_n):
             ],
         },
         rays=[{"primitive": [str(x) for x in r.primitive], "norm": str(r.norm)}
-              for r in nonfibered_rays(d)],
+              for r in ball.nonfibered_rays()],
         faces=[{"lo": [str(x) for x in f.ray_lo.primitive],
                 "hi": [str(x) for x in f.ray_hi.primitive],
                 "dual": [str(f.dual[0]), str(f.dual[1])]}
@@ -330,7 +334,10 @@ def cmd_report(args):
 
 # --------------------------------------------------------------------- parser
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process and shared: parsing
+    reads it and returns a fresh namespace, it never changes the parser."""
     parser = _Parser(prog="splicelink",
                      description="Exact invariants of 2-component graph "
                                  "links given by splice diagrams.")

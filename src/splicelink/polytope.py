@@ -44,6 +44,12 @@ class NormBall:
     rays: tuple
     faces: tuple
 
+    def nonfibered_rays(self):
+        """The rays `unit_ball` was built from, as `nonfibered_rays` gives
+        them: the ones with positive first nonzero coordinate, by
+        decreasing angle."""
+        return [r for r in reversed(self.rays) if r.primitive > (0, 0)]
+
 
 def dual_vertex(a, na, b, nb):
     """The point (x, y) pairing to half the norm with both given rays:

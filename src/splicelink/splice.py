@@ -98,14 +98,26 @@ def _bfs(adj, start):
     return parents
 
 
+def _weights_off_path(adj, vid, prev, nxt):
+    """Product of the weights at `vid` toward neighbours other than its
+    path neighbours `prev` and `nxt` (None where the path ends)."""
+    product = 1
+    for nbr, weight in adj[vid]:
+        if nbr != prev and nbr != nxt:
+            product *= weight
+    return product
+
+
 class SpliceDiagram:
     """A named weighted tree of nodes, boundary vertices and arrowheads.
 
     Instances are treated as immutable after construction; derived data
     is computed once and cached: the adjacency map (vertex id to its
     (neighbour id, weight at this end) pairs), built on first use so that
-    invalid diagrams can still be constructed and validated, and the
-    linking forms of the virtual components.
+    invalid diagrams can still be constructed and validated, the linking
+    numbers lk(src, x) of every reached x, one row per source vertex src
+    that has been asked for, and the linking forms of the virtual
+    components.
     """
 
     def __init__(self, name, vertices, edges):
@@ -115,6 +127,7 @@ class SpliceDiagram:
         self._by_id = {}
         for v in self.vertices:
             self._by_id.setdefault(v.id, v)
+        self._lk_rows = {}
         self._forms = None
 
     @cached_property
@@ -161,6 +174,39 @@ class SpliceDiagram:
             goal = parents[goal]
         return out[::-1]
 
+    def _lk_from(self, src):
+        """Map from vertex id x to lk(src, x), for every x that the BFS
+        from `src` reaches without passing an undeclared id.
+
+        One pass over the BFS parent map that `path` walks, so every tree
+        path is the one `path` returns.  `before[x]` is the product of the
+        node weights off the path at the vertices strictly before x; a
+        node x then multiplies in its own weights off the path, which at
+        the far end are all but the one toward its parent.  Cached per
+        source.
+        """
+        row = self._lk_rows.get(src)
+        if row is None:
+            adj, by_id = self._adj, self._by_id
+            parents = _bfs(adj, src)
+            before = {}
+            row = {}
+            for x, p in parents.items():
+                if x not in by_id or (p is not None and p not in row):
+                    continue
+                if p is None:
+                    before[x] = 1
+                elif by_id[p].kind is VertexKind.NODE:
+                    before[x] = before[p] * _weights_off_path(
+                        adj, p, parents[p], x)
+                else:
+                    before[x] = before[p]
+                row[x] = before[x]
+                if by_id[x].kind is VertexKind.NODE:
+                    row[x] *= _weights_off_path(adj, x, p, None)
+            self._lk_rows[src] = row
+        return row
+
     def virtual_forms(self):
         """(vertex, lk(K1, v), lk(K2, v), degree) for every node and
         boundary vertex, in declaration order.  Cached on first use."""
@@ -184,19 +230,21 @@ def linking_number(d, v, w):
     Product over all nodes on the tree path from v to w (endpoints count
     when they are nodes) of the node-end weights of every incident edge
     not on the path, that is, of every edge to a neighbour other than the
-    node's path neighbours.
+    node's path neighbours.  The whole row lk(v, .) is computed by one
+    pass on the first call from v and cached on the diagram, so later
+    calls from v are lookups.
     """
     if v == w:
         raise ValueError("linking number needs two distinct vertices")
-    path = d.path(v, w)
-    result = 1
-    for prev, vid, nxt in zip([None] + path, path, path[1:] + [None]):
-        if d.vertex(vid).kind is not VertexKind.NODE:
-            continue
-        for nbr, weight in d._adj[vid]:
-            if nbr != prev and nbr != nxt:
-                result *= weight
-    return result
+    d.vertex(v)
+    d.vertex(w)
+    row = d._lk_from(v)
+    if w not in row:
+        # No path, or an undeclared id on it: path() raises ValidationError
+        # for the first, vertex() UnknownVertex at the first such id.
+        for vid in d.path(v, w):
+            d.vertex(vid)
+    return row[w]
 
 
 def validate(d):

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
+import splicelink
 from splicelink.cli import Report, build_report, main, recognize_family
 from splicelink.polytope import NormBall, unit_ball
 from splicelink.splice import build_k2n, parse_diagram, render_diagram
@@ -113,6 +119,42 @@ class TestExitCodes:
         assert "cli.IoError" in err
 
 
+class TestOneProcess:
+    # A success, a usage error (exit 1), a computation error (exit 2), then
+    # `ball` with and without --svg, so that a leaked --svg would show as
+    # a second written file.
+    CALLS = (["lk", "--family", "1"],
+             ["norm", "--family", "1", "-m", "1,"],
+             ["slopes", "--family", "1", "-m", "0,0"],
+             ["ball", "--family", "2", "--svg", "ball.svg"],
+             ["ball", "--family", "2"])
+
+    @staticmethod
+    def written(directory):
+        return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+    def test_calls_in_one_process_match_separate_processes(
+            self, tmp_path, capsys, monkeypatch):
+        src = str(Path(splicelink.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        results = []
+        for i, argv in enumerate(self.CALLS):
+            alone = tmp_path / ("alone%d" % i)
+            alone.mkdir()
+            proc = subprocess.run([sys.executable, "-m", "splicelink"] + argv,
+                                  cwd=alone, env=env, capture_output=True,
+                                  text=True)
+            shared = tmp_path / ("shared%d" % i)
+            shared.mkdir()
+            monkeypatch.chdir(shared)
+            code, out, err = run(argv, capsys)
+            assert (code, out, err, self.written(shared)) == \
+                (proc.returncode, proc.stdout, proc.stderr,
+                 self.written(alone)), argv
+            results.append(code)
+        assert results == [0, 1, 2, 0, 0]
+
+
 class TestRecognizeFamily:
     def test_generated_family(self):
         assert recognize_family(build_k2n(3)) == 3
@@ -170,6 +212,14 @@ class TestReport:
         classes = [tuple(int(x) for x in c["class"])
                    for c in data["canonical_classes"]]
         assert duals == classes
+
+    @pytest.mark.parametrize("weight,n", [(3, 1), (3, 2), (3, 3), (5, 2)])
+    def test_to_json_matches_asdict(self, weight, n):
+        text = render_diagram(build_k2n(n)).replace(" 3 1\n",
+                                                    " %d 1\n" % weight)
+        d = parse_diagram(text)
+        report = build_report(d, recognize_family(d))
+        assert report.to_json() == json.dumps(asdict(report), indent=2) + "\n"
 
     def test_text_output(self, capsys):
         code, out, _err = run(["report", "--family", "2"], capsys)

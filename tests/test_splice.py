@@ -4,6 +4,8 @@ from collections import deque
 import pytest
 
 from splicelink.errors import ComputationError
+from splicelink.invariants import DegenerateForm, nonfibered_rays
+from splicelink.polytope import unit_ball
 from splicelink.splice import (DiagramSyntaxError, Edge, SpliceDiagram,
                                UnknownVertex, ValidationError, Vertex,
                                VertexKind, build_k2n, linking_number,
@@ -239,6 +241,22 @@ class TestValidate:
             assert info.value.violations == [
                 "NotATree: diagram is disconnected"]
 
+    def test_undeclared_id_fails_only_the_paths_through_it(self):
+        diagram = SpliceDiagram("X", [
+            Vertex("H1", VertexKind.NODE),
+            Vertex("H2", VertexKind.NODE),
+            Vertex("K1", VertexKind.ARROW),
+            Vertex("K2", VertexKind.ARROW),
+        ], [
+            Edge("H1", "K1", 1, 1),
+            Edge("H1", "K2", 2, 1),
+            Edge("H1", "KX", 3, 1),
+            Edge("KX", "H2", 1, 5),
+        ])
+        assert linking_number(diagram, "K1", "K2") == 3
+        with pytest.raises(UnknownVertex, match="'KX'"):
+            linking_number(diagram, "K1", "H2")
+
 
 # ------------------------------------------------- edge-list path-rule oracle
 
@@ -331,3 +349,38 @@ def test_adjacency_map_matches_edge_list_oracle(kind, arg):
                 assert d.path(v, w) == oracle_path(d, v, w)
                 assert linking_number(d, v, w) == \
                     oracle_linking_number(d, v, w)
+
+
+@pytest.mark.parametrize("kind,arg", DIFFERENTIAL_CASES)
+def test_virtual_forms_match_edge_list_oracle(kind, arg):
+    d = build_k2n(arg) if kind == "chain" else random_diagram(arg)
+    k1, k2 = (v.id for v in d.arrowheads)
+    assert d.virtual_forms() == [
+        (v, oracle_linking_number(d, k1, v.id),
+         oracle_linking_number(d, k2, v.id), oracle_degree(d, v.id))
+        for v in d.vertices if v.kind is not VertexKind.ARROW]
+
+
+def test_virtual_forms_closed_form_on_a_long_chain():
+    n = 300
+    forms = {v.id: (a, b, deg) for v, a, b, deg in build_k2n(n).virtual_forms()}
+    assert len(forms) == 4 * n
+    for i in range(1, 2 * n + 1):
+        assert forms["H%d" % i] == (3 ** i, 3 ** (2 * n - i + 1), 3)
+        assert forms["S%d" % i] == (3 ** (i - 1), 3 ** (2 * n - i), 1)
+
+
+def test_ball_gives_back_the_nonfibered_rays():
+    diagrams = [build_k2n(n) for n in (1, 2, 3, 4)]
+    # About two in five random diagrams have a bounded ball; the others
+    # have a ray of norm zero, and unit_ball rejects them.
+    diagrams += [random_diagram(seed) for seed in range(200)]
+    checked = 0
+    for d in diagrams:
+        try:
+            ball = unit_ball(d)
+        except DegenerateForm:
+            continue
+        assert ball.nonfibered_rays() == nonfibered_rays(d)
+        checked += 1
+    assert checked >= 80
