@@ -31,12 +31,12 @@ from .errors import ComputationError
 from .invariants import (alexander_polynomial, boundary_slope, is_fibered,
                          thurston_norm)
 from .laurent import LaurentPoly
-from .orbits import face_orbits, lattice_symmetries
+from .orbits import face_orbits, lattice_symmetries, min_structure_count
 from .polytope import unit_ball
 from .splice import (SpliceDiagram, VertexKind, build_k2n, linking_number,
                      parse_diagram, render_diagram)
 from .svg import ball_svg, hull_svg
-from .swtheory import basic_classes, sw_polynomial
+from .swtheory import basic_classes, canonical_classes, sw_polynomial
 
 
 class UsageError(Exception):
@@ -118,11 +118,10 @@ def _load_diagram(args):
     if args.family is not None and args.diagram is not None:
         raise UsageError("give either a diagram file or --family, not both")
     if args.family is not None:
-        return build_k2n(args.family), args.family
+        return build_k2n(args.family)
     if args.diagram is None:
         raise UsageError("a diagram file or --family N is required")
-    d = parse_diagram(_read_text(args.diagram))
-    return d, recognize_family(d)
+    return parse_diagram(_read_text(args.diagram))
 
 
 def _family_factored(n, power=1):
@@ -174,14 +173,12 @@ class Report:
 
 
 def build_report(d, family_n):
-    from .swtheory import canonical_classes as _canonical
-
     k1, k2 = d.arrowheads
     lk12 = linking_number(d, k1.id, k2.id)
     delta = alexander_polynomial(d)
     ball = unit_ball(d)
     sw = sw_polynomial(delta)
-    canon = _canonical(ball)
+    canon = canonical_classes(ball)
     orbit_count = face_orbits(ball, lattice_symmetries(ball)).orbit_count
     even = all(e1 % 2 == 0 and e2 % 2 == 0 for e1, e2 in sw.support())
     return Report(
@@ -219,7 +216,7 @@ def cmd_gen(args):
 
 
 def cmd_lk(args):
-    d, _n = _load_diagram(args)
+    d = _load_diagram(args)
     k1, k2 = d.arrowheads
     print("lk(%s,%s) = %d" % (k1.id, k2.id, linking_number(d, k1.id, k2.id)))
     for v, a, b, _deg in d.virtual_forms():
@@ -228,19 +225,19 @@ def cmd_lk(args):
 
 
 def cmd_fibered(args):
-    d, _n = _load_diagram(args)
+    d = _load_diagram(args)
     print("fibered" if is_fibered(d, args.m) else "non-fibered")
     return 0
 
 
 def cmd_norm(args):
-    d, _n = _load_diagram(args)
+    d = _load_diagram(args)
     print(thurston_norm(d, args.m))
     return 0
 
 
 def cmd_slopes(args):
-    d, _n = _load_diagram(args)
+    d = _load_diagram(args)
     for i in (1, 2):
         s = boundary_slope(d, args.m, i)
         print("sigma_%d = %d mu + %d lambda  (divisibility %d, "
@@ -251,13 +248,14 @@ def cmd_slopes(args):
 
 
 def cmd_alex(args):
-    d, family_n = _load_diagram(args)
+    d = _load_diagram(args)
+    family_n = args.family or recognize_family(d)
     print(_poly_text(alexander_polynomial(d), family_n))
     return 0
 
 
 def cmd_ball(args):
-    d, _n = _load_diagram(args)
+    d = _load_diagram(args)
     ball = unit_ball(d)
     for r in ball.rays:
         print("ray (%d,%d)  norm %d" % (r.primitive[0], r.primitive[1], r.norm))
@@ -272,7 +270,7 @@ def cmd_ball(args):
 
 
 def cmd_hull(args):
-    d, _n = _load_diagram(args)
+    d = _load_diagram(args)
     hull = alexander_polynomial(d).newton_polygon()
     for e1, e2 in hull:
         print("vertex (%d,%d)" % (e1, e2))
@@ -282,7 +280,8 @@ def cmd_hull(args):
 
 
 def cmd_sw(args):
-    d, family_n = _load_diagram(args)
+    d = _load_diagram(args)
+    family_n = args.family or recognize_family(d)
     sw = sw_polynomial(alexander_polynomial(d))
     bcs = basic_classes(sw)
     print("SW polynomial: %s" % _poly_text(sw, family_n, power=2))
@@ -295,14 +294,13 @@ def cmd_sw(args):
 
 
 def cmd_orbits(args):
-    d, _n = _load_diagram(args)
-    ball = unit_ball(d)
-    print(face_orbits(ball, lattice_symmetries(ball)).orbit_count)
+    print(min_structure_count(_load_diagram(args)))
     return 0
 
 
 def cmd_report(args):
-    d, family_n = _load_diagram(args)
+    d = _load_diagram(args)
+    family_n = args.family or recognize_family(d)
     report = build_report(d, family_n)
     print("diagram %s%s" % (report.diagram,
                             "  (family n=%d)" % family_n

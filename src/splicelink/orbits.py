@@ -2,18 +2,20 @@
 
 Any self-diffeomorphism of the link exterior acts on rank-2 cohomology as
 a linear map that preserves the norm ball and the integer lattice.  The
-full group of such maps is found by exhaustive search: a linear
-ball-preserving map must send an adjacent pair of ball vertices to an
-adjacent pair, so fixing one base pair and solving a 2x2 system for every
-candidate image pair enumerates all possibilities.  Counting orbits of
-fibered faces under this group gives a lower bound on the number of
-inequivalent fibrations, hence of inequivalent symplectic structures on
-the associated link-surgery 4-manifold (the geometric symmetry group can
-only over-approximate the realizable actions).
+full group of such maps is found by exhaustive search in integers: a
+linear ball-preserving map must send an adjacent pair of ball vertices to
+an adjacent pair, so fixing one base pair and solving a 2x2 integer
+system for every candidate image pair enumerates all possibilities.  A
+unimodular map sends the primitive p of the vertex p/norm to a primitive,
+so the image vertex has the same norm: only image pairs with the base
+pair's norms are tried.  Counting orbits of fibered faces under this
+group gives a lower bound on the number of inequivalent fibrations, hence
+of inequivalent symplectic structures on the associated link-surgery
+4-manifold (the geometric symmetry group can only over-approximate the
+realizable actions).
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ComputationError
 from .polytope import unit_ball
@@ -71,38 +73,43 @@ class OrbitPartition:
 def lattice_symmetries(ball):
     """All determinant +-1 integer matrices permuting the ball vertices.
 
-    Ball vertices are the exact rational points primitive / norm.  The
-    base adjacent pair (first two rays in cyclic order) is matched against
-    every ordered adjacent pair; each match determines one candidate map,
-    which is kept when it is integral, unimodular and maps the vertex set
-    bijectively to itself.  Results are deduplicated and sorted by matrix
-    entries; the identity and minus identity are always present.
+    The vertex primitive / norm is kept as the integer pair (primitive,
+    norm); norms must be positive, as `unit_ball` gives them.  The base
+    adjacent pair (first two rays in cyclic order) is matched against
+    every ordered adjacent pair of the same norms; each match determines
+    one candidate map, [u w] [p0 p1]^-1 from the integer adjugate, which
+    is kept when it is integral, unimodular and maps the set of
+    (primitive, norm) pairs onto itself.  Results are deduplicated and
+    sorted by matrix entries; the identity and minus identity are always
+    present.
     """
     rays = ball.rays
     if len(rays) < 2:
         raise ValueError("need at least two rays")
-    verts = [(Fraction(r.primitive[0], r.norm), Fraction(r.primitive[1], r.norm))
-             for r in rays]
-    count = len(verts)
-    v0, v1 = verts[0], verts[1]
-    base_det = v0[0] * v1[1] - v0[1] * v1[0]
-    vert_set = set(verts)
+    if any(r.norm <= 0 for r in rays):
+        raise ValueError("ball vertices need positive norms")
+    keys = [(r.primitive, r.norm) for r in rays]
+    count = len(keys)
+    (p0, n0), (p1, n1) = keys[0], keys[1]
+    base_det = p0[0] * p1[1] - p0[1] * p1[0]
+    key_set = set(keys)
     found = set()
     for j in range(count):
+        u, norm_u = keys[j]
+        if norm_u != n0:
+            continue
         for step in (1, count - 1):
-            u = verts[j]
-            w = verts[(j + step) % count]
-            # rows of the matrix solve [[v0], [v1]] row = (u_i, w_i)
-            a = (u[0] * v1[1] - v0[1] * w[0]) / base_det
-            b = (v0[0] * w[0] - u[0] * v1[0]) / base_det
-            c = (u[1] * v1[1] - v0[1] * w[1]) / base_det
-            d = (v0[0] * w[1] - u[1] * v1[0]) / base_det
-            if any(f.denominator != 1 for f in (a, b, c, d)):
+            w, norm_w = keys[(j + step) % count]
+            if norm_w != n1:
                 continue
-            m = LatticeMap(int(a), int(b), int(c), int(d))
+            scaled = (u[0] * p1[1] - w[0] * p0[1], w[0] * p0[0] - u[0] * p1[0],
+                      u[1] * p1[1] - w[1] * p0[1], w[1] * p0[0] - u[1] * p1[0])
+            if any(x % base_det for x in scaled):
+                continue
+            m = LatticeMap(*(x // base_det for x in scaled))
             if m.det() not in (1, -1):
                 continue
-            if {m.apply(v) for v in verts} != vert_set:
+            if {(m.apply(p), n) for p, n in keys} != key_set:
                 continue
             found.add((m.a, m.b, m.c, m.d))
     return [LatticeMap(*entries) for entries in sorted(found)]

@@ -8,7 +8,6 @@ integrality is checked where it matters rather than assumed.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from math import gcd
 
 from .errors import ComputationError
@@ -68,36 +67,15 @@ def dual_vertex(a, na, b, nb):
     return (x, y)
 
 
-def _angle_class(v):
-    x, y = v
-    if y < 0:
-        return 0
-    if y == 0 and x > 0:
-        return 1
-    if y > 0:
-        return 2
-    return 3  # y == 0, x < 0
-
-
-def _cmp_ascending(p, q):
-    cp, cq = _angle_class(p), _angle_class(q)
-    if cp != cq:
-        return -1 if cp < cq else 1
-    c = p[0] * q[1] - p[1] * q[0]
-    if c > 0:
-        return -1
-    if c < 0:
-        return 1
-    return 0
-
-
 def unit_ball(d):
     """The norm unit ball of a diagram.
 
-    Takes the non-fibered rays, adjoins their negatives, sorts all signed
-    rays by exact angle comparison starting from the smallest angle in
-    (-pi, pi], and attaches to each adjacent pair the face they bound with
-    its dual vertex.
+    Takes the non-fibered rays and adjoins their negatives, in cyclic
+    order by ascending angle in (-pi, pi], and attaches to each adjacent
+    pair the face they bound with its dual vertex.  `nonfibered_rays`
+    already orders the rays, by decreasing angle in (-pi/2, pi/2]; their
+    negatives keep that order shifted by pi, so the ones below the m1-axis
+    come first and the rest last.
     """
     base = nonfibered_rays(d)
     if not base:
@@ -106,12 +84,10 @@ def unit_ball(d):
         if r.norm == 0:
             raise DegenerateForm("ray %s has zero norm, the unit ball is "
                                  "unbounded" % (r.primitive,))
-    signed = []
-    for r in base:
-        signed.append(r)
-        signed.append(Ray((-r.primitive[0], -r.primitive[1]), r.norm))
-    signed.sort(key=cmp_to_key(lambda r, s: _cmp_ascending(r.primitive,
-                                                           s.primitive)))
+    up = base[::-1]
+    down = [Ray((-r.primitive[0], -r.primitive[1]), r.norm) for r in up]
+    signed = ([r for r in down if r.primitive[1] < 0] + up
+              + [r for r in down if r.primitive[1] >= 0])
     faces = []
     for i, lo in enumerate(signed):
         hi = signed[(i + 1) % len(signed)]

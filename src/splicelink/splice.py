@@ -141,9 +141,6 @@ class SpliceDiagram:
             raise UnknownVertex("no vertex %r in diagram %r"
                                 % (vid, self.name)) from None
 
-    def has_vertex(self, vid):
-        return vid in self._by_id
-
     def degree(self, vid):
         self.vertex(vid)
         return len(self._adj[vid])

@@ -1,9 +1,15 @@
-import pytest
+import random
+from fractions import Fraction
+from functools import cmp_to_key
 
-from splicelink.invariants import thurston_norm
+import pytest
+from test_splice import random_diagram
+
+from splicelink.invariants import (DegenerateForm, Ray, nonfibered_rays,
+                                   thurston_norm)
 from splicelink.orbits import (LatticeMap, NotAGroup, face_orbits,
                                lattice_symmetries, min_structure_count)
-from splicelink.polytope import unit_ball
+from splicelink.polytope import NormBall, unit_ball
 from splicelink.splice import build_k2n
 from splicelink.swtheory import canonical_classes
 
@@ -54,6 +60,121 @@ class TestLatticeSymmetries:
         for m in lattice_symmetries(ball):
             for prim, norm in norms.items():
                 assert norms[m.apply(prim)] == norm
+
+
+def oracle_lattice_symmetries(ball):
+    """The search over exact rational vertices primitive / norm: solve the
+    2x2 system sending the base adjacent pair to every ordered adjacent
+    pair, keep the integral, unimodular maps that permute the vertex set."""
+    verts = [(Fraction(r.primitive[0], r.norm),
+              Fraction(r.primitive[1], r.norm)) for r in ball.rays]
+    count = len(verts)
+    v0, v1 = verts[0], verts[1]
+    base_det = v0[0] * v1[1] - v0[1] * v1[0]
+    vert_set = set(verts)
+    found = set()
+    for j in range(count):
+        for step in (1, count - 1):
+            u = verts[j]
+            w = verts[(j + step) % count]
+            a = (u[0] * v1[1] - v0[1] * w[0]) / base_det
+            b = (v0[0] * w[0] - u[0] * v1[0]) / base_det
+            c = (u[1] * v1[1] - v0[1] * w[1]) / base_det
+            d = (v0[0] * w[1] - u[1] * v1[0]) / base_det
+            if any(f.denominator != 1 for f in (a, b, c, d)):
+                continue
+            m = LatticeMap(int(a), int(b), int(c), int(d))
+            if m.det() not in (1, -1):
+                continue
+            if {m.apply(v) for v in verts} != vert_set:
+                continue
+            found.add((m.a, m.b, m.c, m.d))
+    return [LatticeMap(*entries) for entries in sorted(found)]
+
+
+def _angle_class(v):
+    x, y = v
+    if y < 0:
+        return 0
+    if y == 0 and x > 0:
+        return 1
+    if y > 0:
+        return 2
+    return 3  # y == 0, x < 0
+
+
+def _cmp_ascending(p, q):
+    cp, cq = _angle_class(p), _angle_class(q)
+    if cp != cq:
+        return -1 if cp < cq else 1
+    c = p[0] * q[1] - p[1] * q[0]
+    if c > 0:
+        return -1
+    if c < 0:
+        return 1
+    return 0
+
+
+def oracle_signed_rays(rays, seed):
+    """The rays and their negatives, shuffled, then sorted by ascending
+    angle in (-pi, pi] with a comparator of their own."""
+    signed = list(rays) + [Ray((-r.primitive[0], -r.primitive[1]), r.norm)
+                           for r in rays]
+    random.Random(seed).shuffle(signed)
+    return sorted(signed, key=cmp_to_key(
+        lambda r, s: _cmp_ascending(r.primitive, s.primitive)))
+
+
+def _bounded_balls():
+    cases = [("chain %d" % n, build_k2n(n)) for n in list(range(1, 13)) + [50]]
+    cases += [("random %d" % seed, random_diagram(seed))
+              for seed in range(200)]
+    balls = []
+    for name, d in cases:
+        try:
+            balls.append((name, d, unit_ball(d)))
+        except DegenerateForm:  # a ray of norm zero: the ball is unbounded
+            pass
+    return balls
+
+
+BOUNDED_BALLS = _bounded_balls()
+
+
+class TestAgainstOracles:
+    def test_enough_random_balls(self):
+        assert sum(name.startswith("random")
+                   for name, _d, _ball in BOUNDED_BALLS) >= 80
+
+    @pytest.mark.parametrize("name,d,ball", BOUNDED_BALLS,
+                             ids=[case[0] for case in BOUNDED_BALLS])
+    def test_integer_search_and_angular_order(self, name, d, ball):
+        assert lattice_symmetries(ball) == oracle_lattice_symmetries(ball)
+        assert list(ball.rays) == oracle_signed_rays(nonfibered_rays(d),
+                                                     seed=name)
+
+    def test_long_chain_has_the_group_of_order_four(self):
+        maps = lattice_symmetries(unit_ball(build_k2n(200)))
+        assert maps == sorted([IDENTITY, MINUS, SWAP, MINUS_SWAP],
+                              key=lambda m: (m.a, m.b, m.c, m.d))
+
+    def test_a_local_match_alone_is_not_a_symmetry(self):
+        # (x, y) -> (y - x, y) swaps the first two rays, both of norm 1,
+        # but sends (1, -1) to (-2, -1), which is no ray.
+        half = [Ray((-1, -1), 1), Ray((0, -1), 1), Ray((1, -1), 3),
+                Ray((1, 0), 2)]
+        rays = tuple(half) + tuple(Ray((-x, -y), r.norm)
+                                   for r in half for x, y in [r.primitive])
+        ball = NormBall(rays, ())
+        assert lattice_symmetries(ball) == oracle_lattice_symmetries(ball) \
+            == [MINUS, IDENTITY]
+
+    @pytest.mark.parametrize("norm", [0, -1])
+    def test_nonpositive_norm_rejected(self, norm):
+        rays = (Ray((1, 0), 1), Ray((0, 1), norm), Ray((-1, 0), 1),
+                Ray((0, -1), norm))
+        with pytest.raises(ValueError):
+            lattice_symmetries(NormBall(rays, ()))
 
 
 class TestFaceOrbits:
