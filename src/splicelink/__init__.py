@@ -12,9 +12,9 @@ from .splice import (DiagramSyntaxError, Edge, SpliceDiagram, UnknownVertex,
                      ValidationError, Vertex, VertexKind, build_k2n,
                      linking_number, parse_diagram, render_diagram, validate)
 from .invariants import (BoundarySlope, DegenerateForm, IndexOutOfRange, Ray,
-                         ZeroSlope, alexander_polynomial, boundary_slope,
-                         closed_form_ray_norm, is_fibered, nonfibered_rays,
-                         thurston_norm)
+                         ZeroSlope, alexander_factors, alexander_polynomial,
+                         boundary_slope, closed_form_ray_norm, is_fibered,
+                         nonfibered_rays, thurston_norm)
 from .polytope import (FibredFace, NonIntegerDual, NormBall, SingularSystem,
                        ZeroVector, alexander_norm, check_duality, divisibility,
                        dual_vertex, unit_ball)

@@ -28,15 +28,15 @@ import sys
 from dataclasses import dataclass, fields
 
 from .errors import ComputationError
-from .invariants import (alexander_polynomial, boundary_slope, is_fibered,
-                         thurston_norm)
+from .invariants import (alexander_factors, alexander_polynomial,
+                         boundary_slope, is_fibered, thurston_norm)
 from .laurent import LaurentPoly
 from .orbits import face_orbits, lattice_symmetries, min_structure_count
 from .polytope import unit_ball
 from .splice import (SpliceDiagram, VertexKind, build_k2n, linking_number,
                      parse_diagram, render_diagram)
 from .svg import ball_svg, hull_svg
-from .swtheory import basic_classes, canonical_classes, sw_polynomial
+from .swtheory import canonical_classes, sw_polynomial
 
 
 class UsageError(Exception):
@@ -124,20 +124,11 @@ def _load_diagram(args):
     return parse_diagram(_read_text(args.diagram))
 
 
-def _family_factored(n, power=1):
-    parts = []
-    for i in range(1, 2 * n + 1):
-        a = power * 3 ** (i - 1)
-        b = power * 3 ** (2 * n - i)
-        parts.append("(%s + 1 + %s)" % (LaurentPoly.monomial(a, b),
-                                        LaurentPoly.monomial(-a, -b)))
-    return "".join(parts)
-
-
-def _poly_text(poly, family_n, power=1):
-    if family_n is not None:
-        return _family_factored(family_n, power)
-    return str(poly)
+def _factored_text(d, power=1):
+    """Δ(t1^power, t2^power) as the product of the centered factors of
+    alexander_factors; used for the family, whose factors are trinomials."""
+    return "".join("(%s)" % f.symmetrize()[0].substitute_power(power)
+                   for f in alexander_factors(d))
 
 
 # --------------------------------------------------------------------- report
@@ -180,7 +171,6 @@ def build_report(d, family_n):
     sw = sw_polynomial(delta)
     canon = canonical_classes(ball)
     orbit_count = face_orbits(ball, lattice_symmetries(ball)).orbit_count
-    even = all(e1 % 2 == 0 and e2 % 2 == 0 for e1, e2 in sw.support())
     return Report(
         diagram=d.name,
         family_n=family_n,
@@ -204,7 +194,7 @@ def build_report(d, family_n):
                             "divisibility": str(c.divisibility)}
                            for c in canon],
         orbit_count=orbit_count,
-        homotopy_k3=(lk12 % 2 == 1) and even,
+        homotopy_k3=lk12 % 2 == 1,
     )
 
 
@@ -250,7 +240,7 @@ def cmd_slopes(args):
 def cmd_alex(args):
     d = _load_diagram(args)
     family_n = args.family or recognize_family(d)
-    print(_poly_text(alexander_polynomial(d), family_n))
+    print(_factored_text(d) if family_n else alexander_polynomial(d))
     return 0
 
 
@@ -283,13 +273,11 @@ def cmd_sw(args):
     d = _load_diagram(args)
     family_n = args.family or recognize_family(d)
     sw = sw_polynomial(alexander_polynomial(d))
-    bcs = basic_classes(sw)
-    print("SW polynomial: %s" % _poly_text(sw, family_n, power=2))
-    print("basic classes: %d" % len(bcs))
+    print("SW polynomial: %s" % (_factored_text(d, 2) if family_n else sw))
+    print("basic classes: %d" % len(sw))
     print("hull vertices: %s"
-          % " ".join("(%d,%d)" % v for v in bcs.hull()))
-    even = all(e1 % 2 == 0 and e2 % 2 == 0 for e1, e2 in bcs.classes)
-    print("all classes even: %s" % ("yes" if even else "no"))
+          % " ".join("(%d,%d)" % v for v in sw.newton_polygon()))
+    print("all classes even: yes")  # sw is Δ(t1^2, t2^2)
     return 0
 
 
@@ -315,9 +303,9 @@ def cmd_report(args):
         print("  (%s,%s)-(%s,%s) -> (%s,%s)"
               % (f["lo"][0], f["lo"][1], f["hi"][0], f["hi"][1],
                  f["dual"][0], f["dual"][1]))
-    delta = (LaurentPoly.from_json_terms(report.alexander)
-             if family_n is None else None)
-    print("alexander polynomial: %s" % _poly_text(delta, family_n))
+    print("alexander polynomial: %s"
+          % (_factored_text(d) if family_n
+             else LaurentPoly.from_json_terms(report.alexander)))
     print("sw basic classes: %d" % len(report.sw_basic_classes))
     print("canonical classes:")
     for c in report.canonical_classes:

@@ -10,7 +10,10 @@ degrees, via the standard weighted-tree formulas of splice calculus:
   (degree(v) - 2) * |m1 * lk(K1, v) + m2 * lk(K2, v)|,
   so boundary vertices (degree 1) contribute negatively;
 * the Alexander polynomial is the alternating product of the binomials
-  t1^lk(K1,v) t2^lk(K2,v) - 1 raised to degree(v) - 2, symmetrized.
+  t1^lk(K1,v) t2^lk(K2,v) - 1 raised to degree(v) - 2, symmetrized.  It is
+  built one kernel line at a time: binomials of distinct primitive
+  directions share no irreducible factor, so the product is a Laurent
+  polynomial exactly when each line's quotient is (alexander_factors).
 """
 
 from dataclasses import dataclass
@@ -86,17 +89,24 @@ def _normalize_direction(x, y):
     return x, y
 
 
-def _cross(p, q):
-    return p[0] * q[1] - p[1] * q[0]
-
-
 def _descending_angle(p, q):
-    c = _cross(p, q)
-    if c < 0:
-        return -1
-    if c > 0:
-        return 1
-    return 0
+    c = p[0] * q[1] - p[1] * q[0]
+    return (c > 0) - (c < 0)
+
+
+def _forms_by_line(d):
+    """The entries of d.virtual_forms() grouped by the kernel line of their
+    form: a dict keyed by the line's primitive (positive first nonzero
+    coordinate), in decreasing-angle order."""
+    lines = {}
+    for form in d.virtual_forms():
+        v, a, b, _deg = form
+        if a == 0 and b == 0:
+            raise DegenerateForm("virtual component %r pairs trivially with "
+                                 "both link components" % v.id)
+        lines.setdefault(_normalize_direction(b, -a), []).append(form)
+    order = sorted(lines, key=cmp_to_key(_descending_angle))
+    return {p: lines[p] for p in order}
 
 
 def nonfibered_rays(d):
@@ -108,38 +118,40 @@ def nonfibered_rays(d):
     and the list is ordered by decreasing angle from the positive m1-axis
     (for the chain family this is the natural index order of the rays).
     """
-    prims = set()
-    for v, a, b, _deg in d.virtual_forms():
-        if a == 0 and b == 0:
-            raise DegenerateForm("virtual component %r pairs trivially with "
-                                 "both link components" % v.id)
-        prims.add(_normalize_direction(b, -a))
-    ordered = sorted(prims, key=cmp_to_key(_descending_angle))
-    return [Ray(p, thurston_norm(d, p)) for p in ordered]
+    return [Ray(p, thurston_norm(d, p)) for p in _forms_by_line(d)]
+
+
+def alexander_factors(d):
+    """The uncentered factors of the Alexander polynomial, one per ray of
+    nonfibered_rays and in its order: the product of
+    (t1^lk(K1,v) t2^lk(K2,v) - 1)^(degree(v) - 2) over the virtual
+    vertices whose kernel line is that ray.  Degree-1 binomials are
+    divided out of the line's numerator one at a time, each division
+    exact or NotDivisible.  The 2n-node chain gives 2n trinomials."""
+    factors = []
+    for forms in _forms_by_line(d).values():
+        numerator = LaurentPoly.one()
+        denominators = []
+        for _v, a, b, deg in forms:
+            binomial = LaurentPoly({(a, b): 1, (0, 0): -1})
+            for _ in range(deg - 2):
+                numerator = numerator * binomial
+            if deg == 1:
+                denominators.append(binomial)
+        for binomial in denominators:
+            numerator = numerator.exact_divide(binomial)
+        factors.append(numerator)
+    return factors
 
 
 def alexander_polynomial(d):
-    """The symmetrized 2-variable Alexander polynomial of the link.
-
-    Built as the product over virtual vertices of
-    (t1^lk(K1,v) t2^lk(K2,v) - 1)^(degree(v) - 2): vertices of degree 3 or
-    more multiply into the numerator, degree-1 vertices are divided out
-    one at a time (each division must be exact, otherwise NotDivisible
-    propagates).  The result is centered and sign-normalized so that the
-    graded-lex-leading coefficient is positive.
-    """
-    numerator = LaurentPoly.one()
-    denominators = []
-    for _v, a, b, deg in d.virtual_forms():
-        factor = LaurentPoly({(a, b): 1, (0, 0): -1})
-        if deg >= 3:
-            for _ in range(deg - 2):
-                numerator = numerator * factor
-        elif deg == 1:
-            denominators.append(factor)
-    for factor in denominators:
-        numerator = numerator.exact_divide(factor)
-    centered, _shift = numerator.symmetrize()
+    """The symmetrized 2-variable Alexander polynomial of the link: the
+    product of alexander_factors, centered and sign-normalized so that
+    the graded-lex-leading coefficient is positive."""
+    delta = LaurentPoly.one()
+    for factor in alexander_factors(d):
+        delta = delta * factor
+    centered, _shift = delta.symmetrize()
     if centered.leading_term()[1] < 0:
         centered = -centered
     return centered

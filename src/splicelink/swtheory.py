@@ -82,14 +82,12 @@ def sw_norm(bcs, m):
 
 
 def homotopy_k3_check(d):
-    """True iff the linking number of the two components is odd and every
-    basic class of the SW polynomial has both exponents even (checked by
-    direct inspection of the computed support)."""
+    """True iff the linking number of the two components is odd and the
+    Alexander polynomial exists.  Every basic class is then even, since
+    the SW polynomial is Δ(t1^2, t2^2)."""
     k1, k2 = d.arrowheads
-    if linking_number(d, k1.id, k2.id) % 2 == 0:
-        return False
-    sw = sw_polynomial(alexander_polynomial(d))
-    return all(e1 % 2 == 0 and e2 % 2 == 0 for e1, e2 in sw.support())
+    return (linking_number(d, k1.id, k2.id) % 2 == 1
+            and bool(alexander_polynomial(d)))
 
 
 def canonical_classes(ball):

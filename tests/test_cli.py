@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from dataclasses import asdict
@@ -153,6 +154,23 @@ class TestOneProcess:
                  self.written(alone)), argv
             results.append(code)
         assert results == [0, 1, 2, 0, 0]
+
+
+def test_found_tree_fails_cleanly_in_bounded_memory():
+    # The dense product of this 20-node tree's node binomials ran out of
+    # memory; per kernel line, one division fails first.
+    def limit_address_space():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(splicelink.__file__).parents[1])
+    found20 = Path(__file__).parent / "data" / "found20.sd"
+    proc = subprocess.run([sys.executable, "-m", "splicelink", "alex",
+                           str(found20)],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          preexec_fn=limit_address_space,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("laurent.NotDivisible: ")
 
 
 class TestRecognizeFamily:

@@ -3,7 +3,8 @@ the SHA-256 (first 16 hex digits) of its stdout, its stderr and every file
 it writes.
 
 `{tmp}` in a command is a fresh directory, `{tree}` the small random tree
-in `tests/data/tree5.sd` and `{k4}` the file written by `gen --n 2`.  A
+in `tests/data/tree5.sd`, `{found20}` the 20-node random tree in
+`tests/data/found20.sd` and `{k4}` the file written by `gen --n 2`.  A
 change that alters output on purpose updates the table and says so; run
 this file as a script to print the table for the current code:
 
@@ -22,6 +23,7 @@ import pytest
 from splicelink.cli import main
 
 TREE = Path(__file__).parent / "data" / "tree5.sd"
+FOUND20 = Path(__file__).parent / "data" / "found20.sd"
 
 EMPTY = "e3b0c44298fc1c14"  # the digest of no output
 
@@ -82,6 +84,9 @@ GOLDEN = [
     ("slopes {tree} -m 1,1", 0, "efb93d629c707000", EMPTY, {}),
     ("lk {tree}", 0, "36d1b1fe5cced6f1", EMPTY, {}),
     ("alex {tree}", 2, EMPTY, "5c0c2f7480f849d1", {}),
+    # Recorded with Δ built one kernel line at a time; the dense product
+    # of all of this tree's node binomials runs out of memory.
+    ("alex {found20}", 2, EMPTY, "5c0c2f7480f849d1", {}),
     ("orbits {tree} --family 1", 1, EMPTY, "5d8b8086241fdbf9", {}),
     ("norm --family 1", 1, EMPTY, "75468fe77a318e33", {}),
 ]
@@ -101,6 +106,7 @@ def run_command(command, tmp, k4):
     """Run one table command in process; returns its table row."""
     argv = shlex.split(command.format(tmp=shlex.quote(str(tmp)),
                                       tree=shlex.quote(str(TREE)),
+                                      found20=shlex.quote(str(FOUND20)),
                                       k4=shlex.quote(str(k4))))
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

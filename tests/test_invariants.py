@@ -1,11 +1,19 @@
+import io
+import random
+from contextlib import redirect_stdout
+
 import pytest
 
-from splicelink.invariants import (IndexOutOfRange, ZeroSlope,
-                                   alexander_polynomial, boundary_slope,
-                                   closed_form_ray_norm, is_fibered,
-                                   nonfibered_rays, thurston_norm)
+from splicelink.cli import main
+from splicelink.errors import ComputationError
+from splicelink.invariants import (DegenerateForm, IndexOutOfRange, ZeroSlope,
+                                   alexander_factors, alexander_polynomial,
+                                   boundary_slope, closed_form_ray_norm,
+                                   is_fibered, nonfibered_rays, thurston_norm)
 from splicelink.laurent import LaurentPoly
-from splicelink.splice import build_k2n
+from splicelink.splice import (Edge, SpliceDiagram, Vertex, VertexKind,
+                               build_k2n, render_diagram)
+from test_splice import random_diagram
 
 
 def trinomial(a, b):
@@ -101,6 +109,129 @@ class TestAlexanderPolynomial:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_equals_direct_expansion(self, n):
         assert alexander_polynomial(build_k2n(n)) == family_product(n)
+
+
+def dense_alexander(d):
+    """Oracle: multiply every node binomial into one dense product, then
+    divide every boundary binomial out of the whole of it."""
+    numerator = LaurentPoly.one()
+    denominators = []
+    for _v, a, b, deg in d.virtual_forms():
+        factor = LaurentPoly({(a, b): 1, (0, 0): -1})
+        if deg >= 3:
+            for _ in range(deg - 2):
+                numerator = numerator * factor
+        elif deg == 1:
+            denominators.append(factor)
+    for factor in denominators:
+        numerator = numerator.exact_divide(factor)
+    centered, _shift = numerator.symmetrize()
+    if centered.leading_term()[1] < 0:
+        centered = -centered
+    return centered
+
+
+def outcome(f, d):
+    """The value of f(d), or the name of the error type it raises."""
+    try:
+        return f(d)
+    except ComputationError as exc:
+        return type(exc).__name__
+
+
+class TestAlexanderFactors:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_chain_equals_dense_product(self, n):
+        d = build_k2n(n)
+        assert alexander_polynomial(d) == dense_alexander(d)
+
+    def test_random_diagrams_equal_dense_product(self):
+        tally = {}
+        for seed in range(400):
+            d = random_diagram(seed)
+            got = outcome(alexander_polynomial, d)
+            assert got == outcome(dense_alexander, d), seed
+            kind = got if isinstance(got, str) else "value"
+            tally[kind] = tally.get(kind, 0) + 1
+        assert tally == {"value": 194, "NotDivisible": 74, "OddSpan": 132}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_chain_factors_are_trinomials_in_index_order(self, n):
+        centered = [f.symmetrize()[0]
+                    for f in alexander_factors(build_k2n(n))]
+        assert centered == [trinomial(3 ** (i - 1), 3 ** (2 * n - i))
+                            for i in range(1, 2 * n + 1)]
+
+    def test_one_factor_per_ray_on_its_kernel_line(self):
+        diagrams = [build_k2n(3)] + [random_diagram(s) for s in range(100)]
+        checked = 0
+        for d in diagrams:
+            factors = outcome(alexander_factors, d)
+            if isinstance(factors, str):
+                continue
+            rays = nonfibered_rays(d)
+            assert len(factors) == len(rays)
+            for f, ray in zip(factors, rays):
+                p = ray.primitive
+                assert all(e1 * p[0] + e2 * p[1] == 0
+                           for e1, e2 in f.support())
+            checked += 1
+        assert checked > 50
+
+    def test_zero_forms_are_degenerate(self):
+        d = SpliceDiagram("zero", [
+            Vertex("H1", VertexKind.NODE),
+            Vertex("S1", VertexKind.BOUNDARY),
+            Vertex("K1", VertexKind.ARROW),
+            Vertex("K2", VertexKind.ARROW),
+        ], [
+            Edge("H1", "S1", 0, 0),
+            Edge("H1", "K1", 0, 0),
+            Edge("H1", "K2", 0, 0),
+        ])
+        with pytest.raises(DegenerateForm) as rays_error:
+            nonfibered_rays(d)
+        for f in (alexander_factors, alexander_polynomial):
+            with pytest.raises(DegenerateForm) as error:
+                f(d)
+            assert str(error.value) == str(rays_error.value)
+
+
+def shuffled_family_text(n, seed):
+    """The DSL of the 2n-node chain with its declarations and edges
+    shuffled and edges flipped at random; K1 stays declared before K2,
+    which is how the family is recognised."""
+    rng = random.Random(seed)
+    lines = render_diagram(build_k2n(n)).splitlines()
+    decls = [x for x in lines[1:] if not x.startswith("edge ")]
+    edges = [x for x in lines[1:] if x.startswith("edge ")]
+    rng.shuffle(decls)
+    i, j = decls.index("arrow K1"), decls.index("arrow K2")
+    decls[min(i, j)], decls[max(i, j)] = "arrow K1", "arrow K2"
+    flipped = []
+    for line in edges:
+        _edge, a, b, wa, wb = line.split()
+        flipped.append(line if rng.random() < 0.5
+                       else "edge %s %s %s %s" % (b, a, wb, wa))
+    rng.shuffle(flipped)
+    return "\n".join([lines[0]] + decls + flipped) + "\n"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("command", ["alex", "sw", "report"])
+def test_shuffled_family_file_prints_family_text(n, command, tmp_path):
+    path = tmp_path / "family.sd"
+    path.write_text(shuffled_family_text(n, seed=n), encoding="utf-8")
+
+    def stdout(argv):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(argv) == 0
+        return out.getvalue()
+
+    assert render_diagram(build_k2n(n)) != path.read_text(encoding="utf-8")
+    assert stdout([command, str(path)]) == \
+        stdout([command, "--family", str(n)])
 
 
 class TestClosedFormRayNorm:
