@@ -30,13 +30,19 @@ from dataclasses import dataclass, fields
 from .errors import ComputationError
 from .invariants import (alexander_factors, alexander_polynomial,
                          boundary_slope, is_fibered, thurston_norm)
-from .laurent import LaurentPoly
+from .laurent import product_newton_polygon
 from .orbits import face_orbits, lattice_symmetries, min_structure_count
 from .polytope import unit_ball
 from .splice import (SpliceDiagram, VertexKind, build_k2n, linking_number,
                      parse_diagram, render_diagram)
 from .svg import ball_svg, hull_svg
 from .swtheory import canonical_classes, sw_polynomial
+
+# One [e1, e2, "coefficient"] term of a report's term arrays, as
+# json.dumps(..., indent=2) lays it out at that depth (a decimal string
+# needs no escaping).
+_TERM_JSON = '    [\n      %d,\n      %d,\n      "%s"\n    ]'
+_TERM_FIELDS = ("alexander", "sw_basic_classes")
 
 
 class UsageError(Exception):
@@ -124,11 +130,12 @@ def _load_diagram(args):
     return parse_diagram(_read_text(args.diagram))
 
 
-def _factored_text(d, power=1):
-    """Δ(t1^power, t2^power) as the product of the centered factors of
-    alexander_factors; used for the family, whose factors are trinomials."""
+def _factored_text(factors, power=1):
+    """Δ(t1^power, t2^power) as the product of the centered factors, the
+    list alexander_factors gives; used for the family, whose factors are
+    trinomials."""
     return "".join("(%s)" % f.symmetrize()[0].substitute_power(power)
-                   for f in alexander_factors(d))
+                   for f in factors)
 
 
 # --------------------------------------------------------------------- report
@@ -153,22 +160,41 @@ class Report:
     homotopy_k3: bool
 
     def to_json(self):
-        # Shallow: json.dumps walks the nested lists and dicts itself, so
-        # copying them first (as dataclasses.asdict does) changes no byte.
-        return json.dumps({f.name: getattr(self, f.name)
-                           for f in fields(self)}, indent=2) + "\n"
+        """The same bytes as json.dumps(asdict(self), indent=2) and a
+        final newline.
+
+        json.dumps with an indent runs CPython's pure-Python encoder, so
+        the two term arrays, the bulk of the text, are laid out with one
+        string template instead; every other field goes through json.dumps
+        and is indented one level deeper."""
+        items = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in _TERM_FIELDS and value:
+                text = "[\n%s\n  ]" % ",\n".join(
+                    _TERM_JSON % (e1, e2, c) for e1, e2, c in value)
+            else:
+                text = json.dumps(value, indent=2).replace("\n", "\n  ")
+            items.append("  %s: %s" % (json.dumps(f.name), text))
+        return "{\n%s\n}\n" % ",\n".join(items)
 
     @classmethod
     def from_json(cls, text):
         return cls(**json.loads(text))
 
 
-def build_report(d, family_n):
+def build_report(d, family_n, delta=None):
+    """The Report of d; ``delta`` is alexander_polynomial(d) when the
+    caller already holds it."""
     k1, k2 = d.arrowheads
     lk12 = linking_number(d, k1.id, k2.id)
-    delta = alexander_polynomial(d)
+    if delta is None:
+        delta = alexander_polynomial(d)
     ball = unit_ball(d)
-    sw = sw_polynomial(delta)
+    # The SW polynomial is Δ(t1^2, t2^2): t -> t^2 keeps the graded-lex
+    # order and Δ's leading coefficient is positive, so its terms are
+    # Δ's with the exponents doubled.
+    alexander = delta.to_json_terms()
     canon = canonical_classes(ball)
     orbit_count = face_orbits(ball, lattice_symmetries(ball)).orbit_count
     return Report(
@@ -188,8 +214,8 @@ def build_report(d, family_n):
                 "hi": [str(x) for x in f.ray_hi.primitive],
                 "dual": [str(f.dual[0]), str(f.dual[1])]}
                for f in ball.faces],
-        alexander=delta.to_json_terms(),
-        sw_basic_classes=sw.to_json_terms(),
+        alexander=alexander,
+        sw_basic_classes=[[2 * e1, 2 * e2, c] for e1, e2, c in alexander],
         canonical_classes=[{"class": [str(x) for x in c.klass],
                             "divisibility": str(c.divisibility)}
                            for c in canon],
@@ -240,7 +266,9 @@ def cmd_slopes(args):
 def cmd_alex(args):
     d = _load_diagram(args)
     family_n = args.family or recognize_family(d)
-    print(_factored_text(d) if family_n else alexander_polynomial(d))
+    factors = alexander_factors(d)
+    print(_factored_text(factors) if family_n
+          else alexander_polynomial(d, factors))
     return 0
 
 
@@ -261,7 +289,7 @@ def cmd_ball(args):
 
 def cmd_hull(args):
     d = _load_diagram(args)
-    hull = alexander_polynomial(d).newton_polygon()
+    hull = product_newton_polygon(alexander_factors(d))
     for e1, e2 in hull:
         print("vertex (%d,%d)" % (e1, e2))
     if args.svg:
@@ -272,11 +300,15 @@ def cmd_hull(args):
 def cmd_sw(args):
     d = _load_diagram(args)
     family_n = args.family or recognize_family(d)
-    sw = sw_polynomial(alexander_polynomial(d))
-    print("SW polynomial: %s" % (_factored_text(d, 2) if family_n else sw))
-    print("basic classes: %d" % len(sw))
+    factors = alexander_factors(d)
+    # The SW polynomial is Δ(t1^2, t2^2): Δ's term count, Δ's hull doubled.
+    hull = product_newton_polygon(factors)
+    delta = alexander_polynomial(d, factors)
+    print("SW polynomial: %s" % (_factored_text(factors, 2) if family_n
+                                 else sw_polynomial(delta)))
+    print("basic classes: %d" % len(delta))
     print("hull vertices: %s"
-          % " ".join("(%d,%d)" % v for v in sw.newton_polygon()))
+          % " ".join("(%d,%d)" % (2 * e1, 2 * e2) for e1, e2 in hull))
     print("all classes even: yes")  # sw is Δ(t1^2, t2^2)
     return 0
 
@@ -289,7 +321,9 @@ def cmd_orbits(args):
 def cmd_report(args):
     d = _load_diagram(args)
     family_n = args.family or recognize_family(d)
-    report = build_report(d, family_n)
+    factors = alexander_factors(d)
+    delta = alexander_polynomial(d, factors)
+    report = build_report(d, family_n, delta)
     print("diagram %s%s" % (report.diagram,
                             "  (family n=%d)" % family_n
                             if family_n is not None else ""))
@@ -304,8 +338,7 @@ def cmd_report(args):
               % (f["lo"][0], f["lo"][1], f["hi"][0], f["hi"][1],
                  f["dual"][0], f["dual"][1]))
     print("alexander polynomial: %s"
-          % (_factored_text(d) if family_n
-             else LaurentPoly.from_json_terms(report.alexander)))
+          % (_factored_text(factors) if family_n else delta))
     print("sw basic classes: %d" % len(report.sw_basic_classes))
     print("canonical classes:")
     for c in report.canonical_classes:

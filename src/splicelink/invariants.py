@@ -144,12 +144,15 @@ def alexander_factors(d):
     return factors
 
 
-def alexander_polynomial(d):
+def alexander_polynomial(d, factors=None):
     """The symmetrized 2-variable Alexander polynomial of the link: the
     product of alexander_factors, centered and sign-normalized so that
-    the graded-lex-leading coefficient is positive."""
+    the graded-lex-leading coefficient is positive.  A caller that already
+    holds alexander_factors(d) passes it as ``factors``."""
+    if factors is None:
+        factors = alexander_factors(d)
     delta = LaurentPoly.one()
-    for factor in alexander_factors(d):
+    for factor in factors:
         delta = delta * factor
     centered, _shift = delta.symmetrize()
     if centered.leading_term()[1] < 0:

@@ -70,6 +70,39 @@ def convex_hull(points):
     return lower[:-1] + upper[:-1]
 
 
+def _span_sums(points):
+    """max + min of each coordinate over a nonempty point set: twice the
+    shift that centers it."""
+    e1s = [p[0] for p in points]
+    e2s = [p[1] for p in points]
+    return max(e1s) + min(e1s), max(e2s) + min(e2s)
+
+
+def product_newton_polygon(factors):
+    """The Newton polygon of the centered product of the factors, read off
+    the factors' own polygons without expanding the product.
+
+    Over the integers Newt(fg) = Newt(f) + Newt(g) (Ostrowski), so the
+    product's polygon is the Minkowski sum of the factors' polygons; its
+    vertices are sums of factor vertices, and it has the same coordinate
+    extremes as the product's support.  Returns exactly what
+    ``product.symmetrize()[0].newton_polygon()`` returns.  Raises OddSpan,
+    carrying the expanded product, where symmetrize would.
+    """
+    hull = [(0, 0)]
+    for factor in factors:
+        hull = convex_hull([(a1 + b1, a2 + b2) for a1, a2 in hull
+                            for b1, b2 in factor.newton_polygon()])
+    t1, t2 = _span_sums(hull)
+    if t1 % 2 or t2 % 2:
+        product = LaurentPoly.one()
+        for factor in factors:
+            product = product * factor
+        raise OddSpan(product, (Fraction(t1, 2), Fraction(t2, 2)))
+    s1, s2 = t1 // 2, t2 // 2
+    return [(e1 - s1, e2 - s2) for e1, e2 in hull]
+
+
 class LaurentPoly:
     """Sparse bivariate Laurent polynomial with integer coefficients."""
 
@@ -297,10 +330,7 @@ class LaurentPoly:
         """
         if not self._terms:
             raise ZeroPolynomial("cannot symmetrize the zero polynomial")
-        e1s = [e[0] for e in self._terms]
-        e2s = [e[1] for e in self._terms]
-        t1 = max(e1s) + min(e1s)
-        t2 = max(e2s) + min(e2s)
+        t1, t2 = _span_sums(self._terms)
         if t1 % 2 or t2 % 2:
             raise OddSpan(self, (Fraction(t1, 2), Fraction(t2, 2)))
         s1, s2 = t1 // 2, t2 // 2

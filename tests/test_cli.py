@@ -10,9 +10,11 @@ import pytest
 
 import splicelink
 from splicelink.cli import Report, build_report, main, recognize_family
+from splicelink.errors import ComputationError
 from splicelink.polytope import NormBall, unit_ball
 from splicelink.splice import build_k2n, parse_diagram, render_diagram
 from splicelink.svg import ball_svg, hull_svg
+from test_splice import random_diagram
 
 
 def run(argv, capsys):
@@ -156,21 +158,33 @@ class TestOneProcess:
         assert results == [0, 1, 2, 0, 0]
 
 
-def test_found_tree_fails_cleanly_in_bounded_memory():
-    # The dense product of this 20-node tree's node binomials ran out of
-    # memory; per kernel line, one division fails first.
+def run_in_one_gib(argv):
+    """Run the CLI in a child process limited to 1 GiB of address space."""
     def limit_address_space():  # runs in the child only
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     src = str(Path(splicelink.__file__).parents[1])
-    found20 = Path(__file__).parent / "data" / "found20.sd"
-    proc = subprocess.run([sys.executable, "-m", "splicelink", "alex",
-                           str(found20)],
+    return subprocess.run([sys.executable, "-m", "splicelink"] + argv,
                           env=dict(os.environ, PYTHONPATH=src),
                           preexec_fn=limit_address_space,
                           capture_output=True, text=True, timeout=120)
+
+
+def test_found_tree_fails_cleanly_in_bounded_memory():
+    # The dense product of this 20-node tree's node binomials ran out of
+    # memory; per kernel line, one division fails first.
+    found20 = Path(__file__).parent / "data" / "found20.sd"
+    proc = run_in_one_gib(["alex", str(found20)])
     assert proc.returncode == 2
     assert proc.stderr.startswith("laurent.NotDivisible: ")
+
+
+def test_hull_is_read_off_the_factors_in_bounded_memory():
+    # Δ of the 16-node chain has 3^16 terms, far beyond 1 GiB expanded;
+    # its hull is the Minkowski sum of 16 segments in distinct directions.
+    proc = run_in_one_gib(["hull", "--family", "8"])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(proc.stdout.splitlines()) == 32
 
 
 class TestRecognizeFamily:
@@ -231,13 +245,31 @@ class TestReport:
                    for c in data["canonical_classes"]]
         assert duals == classes
 
-    @pytest.mark.parametrize("weight,n", [(3, 1), (3, 2), (3, 3), (5, 2)])
+    @staticmethod
+    def assert_json_matches_asdict(report):
+        text = report.to_json()
+        assert text == json.dumps(asdict(report), indent=2) + "\n"
+        assert Report.from_json(text) == report
+
+    @pytest.mark.parametrize("weight,n", [(3, 1), (3, 2), (3, 3), (5, 2),
+                                          (3, 4)])
     def test_to_json_matches_asdict(self, weight, n):
         text = render_diagram(build_k2n(n)).replace(" 3 1\n",
                                                     " %d 1\n" % weight)
         d = parse_diagram(text)
-        report = build_report(d, recognize_family(d))
-        assert report.to_json() == json.dumps(asdict(report), indent=2) + "\n"
+        self.assert_json_matches_asdict(build_report(d, recognize_family(d)))
+
+    def test_to_json_matches_asdict_on_random_diagrams(self):
+        built = 0
+        for seed in range(200):
+            d = random_diagram(seed)
+            try:
+                report = build_report(d, recognize_family(d))
+            except ComputationError:
+                continue
+            self.assert_json_matches_asdict(report)
+            built += 1
+        assert built == 31
 
     def test_text_output(self, capsys):
         code, out, _err = run(["report", "--family", "2"], capsys)

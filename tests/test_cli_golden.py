@@ -4,7 +4,9 @@ it writes.
 
 `{tmp}` in a command is a fresh directory, `{tree}` the small random tree
 in `tests/data/tree5.sd`, `{found20}` the 20-node random tree in
-`tests/data/found20.sd` and `{k4}` the file written by `gen --n 2`.  A
+`tests/data/found20.sd`, `{oddspan}` the small tree in
+`tests/data/oddspan.sd` whose Δ cannot be centered, and `{k4}` the file
+written by `gen --n 2`.  A
 change that alters output on purpose updates the table and says so; run
 this file as a script to print the table for the current code:
 
@@ -24,6 +26,7 @@ from splicelink.cli import main
 
 TREE = Path(__file__).parent / "data" / "tree5.sd"
 FOUND20 = Path(__file__).parent / "data" / "found20.sd"
+ODDSPAN = Path(__file__).parent / "data" / "oddspan.sd"
 
 EMPTY = "e3b0c44298fc1c14"  # the digest of no output
 
@@ -87,6 +90,16 @@ GOLDEN = [
     # Recorded with Δ built one kernel line at a time; the dense product
     # of all of this tree's node binomials runs out of memory.
     ("alex {found20}", 2, EMPTY, "5c0c2f7480f849d1", {}),
+    ("hull {found20}", 2, EMPTY, "5c0c2f7480f849d1", {}),
+    # The error paths of the commands that print Δ's hull or its size:
+    # NotDivisible on {tree}, OddSpan on {oddspan}.
+    ("hull {tree}", 2, EMPTY, "5c0c2f7480f849d1", {}),
+    ("sw {tree}", 2, EMPTY, "5c0c2f7480f849d1", {}),
+    ("report {tree}", 2, EMPTY, "5c0c2f7480f849d1", {}),
+    ("alex {oddspan}", 2, EMPTY, "2537cb81cf2ae21e", {}),
+    ("hull {oddspan}", 2, EMPTY, "2537cb81cf2ae21e", {}),
+    ("sw {oddspan}", 2, EMPTY, "2537cb81cf2ae21e", {}),
+    ("report {oddspan}", 2, EMPTY, "2537cb81cf2ae21e", {}),
     ("orbits {tree} --family 1", 1, EMPTY, "5d8b8086241fdbf9", {}),
     ("norm --family 1", 1, EMPTY, "75468fe77a318e33", {}),
 ]
@@ -107,6 +120,7 @@ def run_command(command, tmp, k4):
     argv = shlex.split(command.format(tmp=shlex.quote(str(tmp)),
                                       tree=shlex.quote(str(TREE)),
                                       found20=shlex.quote(str(FOUND20)),
+                                      oddspan=shlex.quote(str(ODDSPAN)),
                                       k4=shlex.quote(str(k4))))
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

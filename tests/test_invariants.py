@@ -10,9 +10,10 @@ from splicelink.invariants import (DegenerateForm, IndexOutOfRange, ZeroSlope,
                                    alexander_factors, alexander_polynomial,
                                    boundary_slope, closed_form_ray_norm,
                                    is_fibered, nonfibered_rays, thurston_norm)
-from splicelink.laurent import LaurentPoly
+from splicelink.laurent import LaurentPoly, OddSpan, product_newton_polygon
 from splicelink.splice import (Edge, SpliceDiagram, Vertex, VertexKind,
                                build_k2n, render_diagram)
+from splicelink.swtheory import sw_polynomial
 from test_splice import random_diagram
 
 
@@ -195,6 +196,50 @@ class TestAlexanderFactors:
             with pytest.raises(DegenerateForm) as error:
                 f(d)
             assert str(error.value) == str(rays_error.value)
+
+
+def factored_hull(d):
+    return product_newton_polygon(alexander_factors(d))
+
+
+def expanded_hull(d):
+    return alexander_polynomial(d).newton_polygon()
+
+
+def hull_outcome(route, d):
+    """route(d), or the type and message of the error it raises, with the
+    polynomial and shift an OddSpan carries."""
+    try:
+        return route(d)
+    except ComputationError as exc:
+        carried = (exc.poly, exc.shift) if isinstance(exc, OddSpan) else None
+        return (type(exc).__name__, str(exc), carried)
+
+
+class TestFactoredHull:
+    """The hull read off the factors against the expanded Δ's hull."""
+
+    def assert_routes_agree(self, d):
+        got = hull_outcome(factored_hull, d)
+        assert got == hull_outcome(expanded_hull, d)
+        if isinstance(got, list):
+            sw = sw_polynomial(alexander_polynomial(d))
+            assert [(2 * e1, 2 * e2) for e1, e2 in got] == \
+                sw.newton_polygon()
+        return got
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_chain(self, n):
+        hull = self.assert_routes_agree(build_k2n(n))
+        assert len(hull) == 4 * n  # a zonotope of 2n distinct segments
+
+    def test_random_diagrams(self):
+        tally = {}
+        for seed in range(400):
+            got = self.assert_routes_agree(random_diagram(seed))
+            kind = "value" if isinstance(got, list) else got[0]
+            tally[kind] = tally.get(kind, 0) + 1
+        assert tally == {"value": 194, "NotDivisible": 74, "OddSpan": 132}
 
 
 def shuffled_family_text(n, seed):

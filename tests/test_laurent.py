@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splicelink.laurent import (LaurentPoly, NotDivisible, OddSpan,
-                                ZeroPolynomial, convex_hull)
+                                ZeroPolynomial, convex_hull,
+                                product_newton_polygon)
 
 
 def trinomial(a, b):
@@ -244,3 +245,24 @@ def test_symmetrize_centers_mirrored_supports(p, shift):
     centered, used = moved.symmetrize()
     assert centered.invert_variables() == centered
     assert centered.shift(used[0], used[1]) == moved
+
+
+def _centered_product_polygon(factors):
+    """Oracle: expand the product, center it, take its polygon; or the
+    OddSpan's polynomial and shift."""
+    product = LaurentPoly.one()
+    for f in factors:
+        product = product * f
+    try:
+        return product.symmetrize()[0].newton_polygon()
+    except OddSpan as exc:
+        return ("OddSpan", str(exc), exc.poly, exc.shift)
+
+
+@given(st.lists(nonzero_polys, max_size=4))
+def test_product_polygon_is_the_expanded_one(factors):
+    try:
+        got = product_newton_polygon(factors)
+    except OddSpan as exc:
+        got = ("OddSpan", str(exc), exc.poly, exc.shift)
+    assert got == _centered_product_polygon(factors)
