@@ -28,9 +28,9 @@ import sys
 from dataclasses import dataclass, fields
 
 from .errors import ComputationError
-from .invariants import (alexander_factors, alexander_polynomial,
-                         boundary_slope, is_fibered, thurston_norm)
-from .laurent import product_newton_polygon
+from .invariants import (alexander_factors, boundary_slope, is_fibered,
+                         thurston_norm)
+from .laurent import centered_product, product_newton_polygon
 from .orbits import face_orbits, lattice_symmetries, min_structure_count
 from .polytope import unit_ball
 from .splice import (SpliceDiagram, VertexKind, build_k2n, linking_number,
@@ -84,7 +84,7 @@ def _read_text(path):
     try:
         with open(path, encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoError(str(exc)) from exc
 
 
@@ -183,13 +183,10 @@ class Report:
         return cls(**json.loads(text))
 
 
-def build_report(d, family_n, delta=None):
-    """The Report of d; ``delta`` is alexander_polynomial(d) when the
-    caller already holds it."""
+def build_report(d, family_n, delta):
+    """The Report of d, whose Alexander polynomial is ``delta``."""
     k1, k2 = d.arrowheads
     lk12 = linking_number(d, k1.id, k2.id)
-    if delta is None:
-        delta = alexander_polynomial(d)
     ball = unit_ball(d)
     # The SW polynomial is Δ(t1^2, t2^2): t -> t^2 keeps the graded-lex
     # order and Δ's leading coefficient is positive, so its terms are
@@ -268,7 +265,7 @@ def cmd_alex(args):
     family_n = args.family or recognize_family(d)
     factors = alexander_factors(d)
     print(_factored_text(factors) if family_n
-          else alexander_polynomial(d, factors))
+          else centered_product(factors))
     return 0
 
 
@@ -303,7 +300,7 @@ def cmd_sw(args):
     factors = alexander_factors(d)
     # The SW polynomial is Δ(t1^2, t2^2): Δ's term count, Δ's hull doubled.
     hull = product_newton_polygon(factors)
-    delta = alexander_polynomial(d, factors)
+    delta = centered_product(factors)
     print("SW polynomial: %s" % (_factored_text(factors, 2) if family_n
                                  else sw_polynomial(delta)))
     print("basic classes: %d" % len(delta))
@@ -322,7 +319,7 @@ def cmd_report(args):
     d = _load_diagram(args)
     family_n = args.family or recognize_family(d)
     factors = alexander_factors(d)
-    delta = alexander_polynomial(d, factors)
+    delta = centered_product(factors)
     report = build_report(d, family_n, delta)
     print("diagram %s%s" % (report.diagram,
                             "  (family n=%d)" % family_n
@@ -414,7 +411,7 @@ def main(argv=None):
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 1
-    except (ComputationError, OSError, ValueError) as exc:
+    except (ComputationError, OSError) as exc:
         module = type(exc).__module__.rsplit(".", 1)[-1]
         print("%s.%s: %s" % (module, type(exc).__name__, exc),
               file=sys.stderr)

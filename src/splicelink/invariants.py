@@ -21,7 +21,7 @@ from functools import cmp_to_key
 from math import gcd
 
 from .errors import ComputationError
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, centered_product
 from .splice import linking_number
 
 
@@ -144,20 +144,11 @@ def alexander_factors(d):
     return factors
 
 
-def alexander_polynomial(d, factors=None):
+def alexander_polynomial(d):
     """The symmetrized 2-variable Alexander polynomial of the link: the
     product of alexander_factors, centered and sign-normalized so that
-    the graded-lex-leading coefficient is positive.  A caller that already
-    holds alexander_factors(d) passes it as ``factors``."""
-    if factors is None:
-        factors = alexander_factors(d)
-    delta = LaurentPoly.one()
-    for factor in factors:
-        delta = delta * factor
-    centered, _shift = delta.symmetrize()
-    if centered.leading_term()[1] < 0:
-        centered = -centered
-    return centered
+    the graded-lex-leading coefficient is positive (centered_product)."""
+    return centered_product(alexander_factors(d))
 
 
 def closed_form_ray_norm(n, i):

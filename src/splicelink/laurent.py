@@ -12,6 +12,8 @@ lexicographic order on (e1, e2).
 
 import heapq
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 from .errors import ComputationError
 
@@ -70,12 +72,21 @@ def convex_hull(points):
     return lower[:-1] + upper[:-1]
 
 
-def _span_sums(points):
-    """max + min of each coordinate over a nonempty point set: twice the
-    shift that centers it."""
-    e1s = [p[0] for p in points]
-    e2s = [p[1] for p in points]
-    return max(e1s) + min(e1s), max(e2s) + min(e2s)
+def _center(factors):
+    """The integer shift (s1, s2), s_i = (max_i + min_i) / 2, that centers
+    the product of the nonzero factors, read off the factors' extremes,
+    which sum to the product's (Ostrowski).  Raises OddSpan, carrying the
+    product, when a shift is half-integral."""
+    t1 = t2 = 0
+    for factor in factors:
+        e1s = [e[0] for e in factor.support()]
+        e2s = [e[1] for e in factor.support()]
+        t1 += max(e1s) + min(e1s)
+        t2 += max(e2s) + min(e2s)
+    if t1 % 2 or t2 % 2:
+        raise OddSpan(reduce(mul, factors),
+                      (Fraction(t1, 2), Fraction(t2, 2)))
+    return t1 // 2, t2 // 2
 
 
 def product_newton_polygon(factors):
@@ -83,9 +94,8 @@ def product_newton_polygon(factors):
     the factors' own polygons without expanding the product.
 
     Over the integers Newt(fg) = Newt(f) + Newt(g) (Ostrowski), so the
-    product's polygon is the Minkowski sum of the factors' polygons; its
-    vertices are sums of factor vertices, and it has the same coordinate
-    extremes as the product's support.  Returns exactly what
+    product's polygon is the Minkowski sum of the factors' polygons, whose
+    vertices are sums of factor vertices.  Returns exactly what
     ``product.symmetrize()[0].newton_polygon()`` returns.  Raises OddSpan,
     carrying the expanded product, where symmetrize would.
     """
@@ -93,14 +103,19 @@ def product_newton_polygon(factors):
     for factor in factors:
         hull = convex_hull([(a1 + b1, a2 + b2) for a1, a2 in hull
                             for b1, b2 in factor.newton_polygon()])
-    t1, t2 = _span_sums(hull)
-    if t1 % 2 or t2 % 2:
-        product = LaurentPoly.one()
-        for factor in factors:
-            product = product * factor
-        raise OddSpan(product, (Fraction(t1, 2), Fraction(t2, 2)))
-    s1, s2 = t1 // 2, t2 // 2
+    s1, s2 = _center(factors)
     return [(e1 - s1, e2 - s2) for e1, e2 in hull]
+
+
+def centered_product(factors):
+    """The product of the nonzero factors, centered as symmetrize centers
+    it, with a positive graded-lex-leading coefficient.  That order is
+    translation invariant, so LT(fg) = LT(f) LT(g): the factors are
+    multiplied onto the monomial carrying both shift and sign, and the
+    product is not scanned again.  Raises OddSpan where symmetrize would."""
+    sign = (-1) ** sum(f.leading_term()[1] < 0 for f in factors)
+    s1, s2 = _center(factors)
+    return reduce(mul, factors, LaurentPoly.monomial(-s1, -s2, sign))
 
 
 class LaurentPoly:
@@ -330,10 +345,7 @@ class LaurentPoly:
         """
         if not self._terms:
             raise ZeroPolynomial("cannot symmetrize the zero polynomial")
-        t1, t2 = _span_sums(self._terms)
-        if t1 % 2 or t2 % 2:
-            raise OddSpan(self, (Fraction(t1, 2), Fraction(t2, 2)))
-        s1, s2 = t1 // 2, t2 // 2
+        s1, s2 = _center([self])
         return self.shift(-s1, -s2), (s1, s2)
 
     def invert_variables(self):

@@ -58,10 +58,6 @@ class LatticeMap:
         return LatticeMap(self.d * det, -self.b * det,
                           -self.c * det, self.a * det)
 
-    @classmethod
-    def identity(cls):
-        return cls(1, 0, 0, 1)
-
 
 @dataclass(frozen=True)
 class OrbitPartition:

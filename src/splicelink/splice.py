@@ -116,8 +116,8 @@ class SpliceDiagram:
     (neighbour id, weight at this end) pairs), built on first use so that
     invalid diagrams can still be constructed and validated, the linking
     numbers lk(src, x) of every reached x, one row per source vertex src
-    that has been asked for, and the linking forms of the virtual
-    components.
+    that has been asked for, the linking forms of the virtual
+    components and the arrowheads.
     """
 
     def __init__(self, name, vertices, edges):
@@ -145,7 +145,7 @@ class SpliceDiagram:
         self.vertex(vid)
         return len(self._adj[vid])
 
-    @property
+    @cached_property
     def arrowheads(self):
         return tuple(v for v in self.vertices if v.kind is VertexKind.ARROW)
 

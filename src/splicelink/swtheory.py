@@ -11,9 +11,9 @@ faces are twice the dual vertices of the norm ball.
 
 from dataclasses import dataclass
 
-from .laurent import ZeroPolynomial, convex_hull
+from .laurent import ZeroPolynomial, convex_hull, product_newton_polygon
 from .polytope import NonIntegerDual, divisibility
-from .invariants import alexander_polynomial
+from .invariants import alexander_factors
 from .splice import linking_number
 
 
@@ -84,10 +84,13 @@ def sw_norm(bcs, m):
 def homotopy_k3_check(d):
     """True iff the linking number of the two components is odd and the
     Alexander polynomial exists.  Every basic class is then even, since
-    the SW polynomial is Δ(t1^2, t2^2)."""
+    the SW polynomial is Δ(t1^2, t2^2).  Δ is not built: its polygon, read
+    off the factors, raises NotDivisible or OddSpan exactly where Δ does."""
     k1, k2 = d.arrowheads
-    return (linking_number(d, k1.id, k2.id) % 2 == 1
-            and bool(alexander_polynomial(d)))
+    if linking_number(d, k1.id, k2.id) % 2 == 0:
+        return False
+    product_newton_polygon(alexander_factors(d))
+    return True
 
 
 def canonical_classes(ball):

@@ -11,6 +11,7 @@ import pytest
 import splicelink
 from splicelink.cli import Report, build_report, main, recognize_family
 from splicelink.errors import ComputationError
+from splicelink.invariants import alexander_polynomial
 from splicelink.polytope import NormBall, unit_ball
 from splicelink.splice import build_k2n, parse_diagram, render_diagram
 from splicelink.svg import ball_svg, hull_svg
@@ -187,6 +188,23 @@ def test_hull_is_read_off_the_factors_in_bounded_memory():
     assert len(proc.stdout.splitlines()) == 32
 
 
+def test_non_utf8_file_is_an_io_error(tmp_path, capsys):
+    path = tmp_path / "bad.sd"
+    path.write_bytes(b"\xff\n")
+    code, out, err = run(["alex", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("cli.IoError: ")
+
+
+def test_internal_value_error_is_not_a_computation_error(monkeypatch):
+    def broken(_d, _m):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr("splicelink.cli.thurston_norm", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["norm", "--family", "1", "-m", "1,1"])
+
+
 class TestRecognizeFamily:
     def test_generated_family(self):
         assert recognize_family(build_k2n(3)) == 3
@@ -212,7 +230,8 @@ class TestReport:
             ["report", "--family", "2", "--json", str(path)], capsys)
         assert code == 0
         reread = Report.from_json(path.read_text())
-        assert reread == build_report(build_k2n(2), 2)
+        d = build_k2n(2)
+        assert reread == build_report(d, 2, alexander_polynomial(d))
 
     def test_byte_identical_json(self, tmp_path, capsys):
         a = tmp_path / "a.json"
@@ -257,14 +276,16 @@ class TestReport:
         text = render_diagram(build_k2n(n)).replace(" 3 1\n",
                                                     " %d 1\n" % weight)
         d = parse_diagram(text)
-        self.assert_json_matches_asdict(build_report(d, recognize_family(d)))
+        self.assert_json_matches_asdict(
+            build_report(d, recognize_family(d), alexander_polynomial(d)))
 
     def test_to_json_matches_asdict_on_random_diagrams(self):
         built = 0
         for seed in range(200):
             d = random_diagram(seed)
             try:
-                report = build_report(d, recognize_family(d))
+                report = build_report(d, recognize_family(d),
+                                      alexander_polynomial(d))
             except ComputationError:
                 continue
             self.assert_json_matches_asdict(report)

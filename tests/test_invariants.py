@@ -10,10 +10,12 @@ from splicelink.invariants import (DegenerateForm, IndexOutOfRange, ZeroSlope,
                                    alexander_factors, alexander_polynomial,
                                    boundary_slope, closed_form_ray_norm,
                                    is_fibered, nonfibered_rays, thurston_norm)
-from splicelink.laurent import LaurentPoly, OddSpan, product_newton_polygon
+from splicelink.laurent import (LaurentPoly, OddSpan, centered_product,
+                                product_newton_polygon)
 from splicelink.splice import (Edge, SpliceDiagram, Vertex, VertexKind,
                                build_k2n, render_diagram)
 from splicelink.swtheory import sw_polynomial
+from test_laurent import centering_outcome, symmetrized_product
 from test_splice import random_diagram
 
 
@@ -238,6 +240,30 @@ class TestFactoredHull:
         for seed in range(400):
             got = self.assert_routes_agree(random_diagram(seed))
             kind = "value" if isinstance(got, list) else got[0]
+            tally[kind] = tally.get(kind, 0) + 1
+        assert tally == {"value": 194, "NotDivisible": 74, "OddSpan": 132}
+
+
+class TestCenteredProduct:
+    """Δ centered and signed from its factors against expanding the
+    product, symmetrizing it and fixing its sign."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_chain(self, n):
+        factors = alexander_factors(build_k2n(n))
+        assert centered_product(factors) == symmetrized_product(factors)
+
+    def test_random_diagrams(self):
+        tally = {}
+        for seed in range(400):
+            factors = outcome(alexander_factors, random_diagram(seed))
+            if isinstance(factors, str):
+                tally[factors] = tally.get(factors, 0) + 1
+                continue
+            got = centering_outcome(centered_product, factors)
+            assert got == centering_outcome(symmetrized_product, factors), \
+                seed
+            kind = got[0] if isinstance(got, tuple) else "value"
             tally[kind] = tally.get(kind, 0) + 1
         assert tally == {"value": 194, "NotDivisible": 74, "OddSpan": 132}
 

@@ -1,11 +1,13 @@
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splicelink.laurent import (LaurentPoly, NotDivisible, OddSpan,
-                                ZeroPolynomial, convex_hull,
+                                ZeroPolynomial, centered_product, convex_hull,
                                 product_newton_polygon)
 
 
@@ -266,3 +268,27 @@ def test_product_polygon_is_the_expanded_one(factors):
     except OddSpan as exc:
         got = ("OddSpan", str(exc), exc.poly, exc.shift)
     assert got == _centered_product_polygon(factors)
+
+
+def symmetrized_product(factors):
+    """Oracle: expand the product, center it with symmetrize, and negate
+    it when its leading coefficient is negative."""
+    centered = reduce(mul, factors).symmetrize()[0]
+    return -centered if centered.leading_term()[1] < 0 else centered
+
+
+def centering_outcome(route, factors):
+    """route(factors), or the OddSpan's message, polynomial and shift."""
+    try:
+        return route(factors)
+    except OddSpan as exc:
+        return ("OddSpan", str(exc), exc.poly, exc.shift)
+
+
+@given(st.lists(nonzero_polys, min_size=1, max_size=4))
+def test_centered_product_is_the_expanded_one(factors):
+    # the coefficient and exponent ranges give negative leading
+    # coefficients and odd spans, which no parsed diagram's factors have
+    assert centering_outcome(centered_product, factors) == \
+        centering_outcome(symmetrized_product, factors)
+

@@ -1,7 +1,13 @@
+import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import splicelink
 from splicelink.invariants import Ray, alexander_polynomial, thurston_norm
 from splicelink.laurent import LaurentPoly, ZeroPolynomial
 from splicelink.polytope import (FibredFace, NonIntegerDual, NormBall,
@@ -111,6 +117,21 @@ class TestHomotopyK3:
             Edge("H1", "K2", 1, 1),
         ])
         assert not homotopy_k3_check(d)
+
+    def test_checked_from_the_factors_in_bounded_memory(self):
+        # Δ of the 16-node chain has 3^16 terms, beyond 1 GiB expanded;
+        # existence is read off its 16 trinomial factors.
+        def limit_address_space():  # runs in the child only
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        code = ("from splicelink import build_k2n, homotopy_k3_check\n"
+                "assert homotopy_k3_check(build_k2n(8)) is True\n")
+        src = str(Path(splicelink.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              preexec_fn=limit_address_space,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
 
     def test_all_classes_even(self, delta_k2):
         sw = sw_polynomial(delta_k2)
