@@ -12,7 +12,7 @@ lexicographic order on (e1, e2).
 
 import heapq
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from operator import mul
 
 from .errors import ComputationError
@@ -29,15 +29,21 @@ class ZeroPolynomial(ComputationError):
 class OddSpan(ComputationError):
     """Centering is impossible because some exponent span is odd.
 
-    Carries the uncentered polynomial (``poly``) and the half-integral
-    shift (``shift``) that centering would require.
+    Carries the factors of the uncentered polynomial (``factors``) and
+    the half-integral shift (``shift``) that centering would require.  The
+    polynomial itself (``poly``) is their product, expanded only when it
+    is read.
     """
 
-    def __init__(self, poly, shift):
+    def __init__(self, factors, shift):
         super().__init__("cannot center: required shift %s is not integral"
                          % (shift,))
-        self.poly = poly
+        self.factors = tuple(factors)
         self.shift = shift
+
+    @cached_property
+    def poly(self):
+        return reduce(mul, self.factors)
 
 
 def grlex_key(e):
@@ -76,7 +82,7 @@ def _center(factors):
     """The integer shift (s1, s2), s_i = (max_i + min_i) / 2, that centers
     the product of the nonzero factors, read off the factors' extremes,
     which sum to the product's (Ostrowski).  Raises OddSpan, carrying the
-    product, when a shift is half-integral."""
+    factors, when a shift is half-integral."""
     t1 = t2 = 0
     for factor in factors:
         e1s = [e[0] for e in factor.support()]
@@ -84,8 +90,7 @@ def _center(factors):
         t1 += max(e1s) + min(e1s)
         t2 += max(e2s) + min(e2s)
     if t1 % 2 or t2 % 2:
-        raise OddSpan(reduce(mul, factors),
-                      (Fraction(t1, 2), Fraction(t2, 2)))
+        raise OddSpan(factors, (Fraction(t1, 2), Fraction(t2, 2)))
     return t1 // 2, t2 // 2
 
 
@@ -96,8 +101,8 @@ def product_newton_polygon(factors):
     Over the integers Newt(fg) = Newt(f) + Newt(g) (Ostrowski), so the
     product's polygon is the Minkowski sum of the factors' polygons, whose
     vertices are sums of factor vertices.  Returns exactly what
-    ``product.symmetrize()[0].newton_polygon()`` returns.  Raises OddSpan,
-    carrying the expanded product, where symmetrize would.
+    ``product.symmetrize()[0].newton_polygon()`` returns.  Raises OddSpan
+    where symmetrize would.
     """
     hull = [(0, 0)]
     for factor in factors:

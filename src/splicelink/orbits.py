@@ -129,17 +129,19 @@ def _require_group(maps):
 def face_orbits(ball, maps):
     """Partition of the fibered faces under the given group of maps.
 
-    A face is identified by the unordered pair of its ray primitives; each
-    map sends ray primitives to ray primitives, so face images can be
-    looked up directly.  Union-find joins every face to its images.
-    Raises NotAGroup when the maps are not a group.
+    Face i of the ball lies between rays i and i + 1 (cyclically), as
+    `unit_ball` builds it.  Each map is applied once per ray, giving the
+    index of each ray's image; the image of face (i, i + 1) is the face
+    between the two image indices, which must be adjacent.  Union-find
+    joins every face to its images.  Raises NotAGroup when the maps are
+    not a group, ValueError when a map does not permute the faces.
     """
     _require_group(maps)
-    faces = ball.faces
-    index_of = {frozenset((f.ray_lo.primitive, f.ray_hi.primitive)): i
-                for i, f in enumerate(faces)}
+    rays = ball.rays
+    count = len(rays)
+    index_of = {r.primitive: i for i, r in enumerate(rays)}
 
-    parent = list(range(len(faces)))
+    parent = list(range(len(ball.faces)))
 
     def find(i):
         while parent[i] != i:
@@ -153,18 +155,22 @@ def face_orbits(ball, maps):
             parent[rj] = ri
 
     for m in maps:
-        for i, f in enumerate(faces):
-            key = frozenset((m.apply(f.ray_lo.primitive),
-                             m.apply(f.ray_hi.primitive)))
-            try:
-                union(i, index_of[key])
-            except KeyError:
-                raise ValueError("map %s does not permute the faces"
-                                 % (m.entries,)) from None
+        image = [index_of.get(m.apply(r.primitive)) for r in rays]
+        for i in range(len(parent)):
+            lo, hi = image[i], image[(i + 1) % count]
+            if lo is not None and hi is not None:
+                if (hi - lo) % count == 1:
+                    union(i, lo)
+                    continue
+                if (lo - hi) % count == 1:
+                    union(i, hi)
+                    continue
+            raise ValueError("map %s does not permute the faces"
+                             % (m.entries,))
 
     labels = {}
     face_labels = {}
-    for i in range(len(faces)):
+    for i in range(len(parent)):
         root = find(i)
         if root not in labels:
             labels[root] = len(labels)

@@ -1,9 +1,20 @@
 """Exact planar geometry of the norm unit ball and of support hulls.
 
 All geometric predicates use integer cross products and exact rationals;
-no floating point enters any decision.  Dual vertices are kept as exact
-Fractions even though they are integral in the cases of interest, and
-integrality is checked where it matters rather than assumed.
+no floating point enters any decision.
+
+On the open cone between two adjacent signed rays no kernel line of a
+virtual component's form (lk(K1, v), lk(K2, v)) passes, so every sign in
+the weighted-tree norm is constant there and the norm is the linear map
+m -> <S_F, m> of the integer face class
+
+    S_F = sum over v of (degree(v) - 2) * sign_F(form_v) * form_v.
+
+`unit_ball` reads the whole ball off these classes in one angular sweep:
+each ray's norm is <S_F, r> for a face F containing r, and each face's
+dual vertex, the point pairing to half the norm with both of its rays, is
+S_F / 2, kept as a pair of Fractions (integrality is checked where it
+matters rather than assumed).
 """
 
 from dataclasses import dataclass
@@ -11,7 +22,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import ComputationError
-from .invariants import DegenerateForm, Ray, nonfibered_rays
+from .invariants import DegenerateForm, Ray, _forms_by_line
 from .laurent import ZeroPolynomial
 
 
@@ -68,33 +79,64 @@ def dual_vertex(a, na, b, nb):
 
 
 def unit_ball(d):
-    """The norm unit ball of a diagram.
+    """The norm unit ball of a diagram, in one angular sweep.
 
-    Takes the non-fibered rays and adjoins their negatives, in cyclic
-    order by ascending angle in (-pi, pi], and attaches to each adjacent
-    pair the face they bound with its dual vertex.  `nonfibered_rays`
-    already orders the rays, by decreasing angle in (-pi/2, pi/2]; their
-    negatives keep that order shifted by pi, so the ones below the m1-axis
-    come first and the rest last.
+    The signed rays are the kernel lines of the virtual components' forms
+    (the primitives `nonfibered_rays` gives, by decreasing angle in
+    (-pi/2, pi/2]) and their negatives, in cyclic order by ascending angle
+    in (-pi, pi]: the negatives below the m1-axis, the primitives in
+    reverse, the other negatives.  Face i lies between signed rays i and
+    i + 1.  The face class S_F of the first face is summed over every form
+    once, at the sum of its two rays, an interior point; crossing ray r
+    flips the sign of the forms on r's kernel line only, so S_F moves by
+    -2 * (degree - 2) * s * form for each of them, s the form's sign on
+    the ray before r.  Each ray's norm is <S_F, r> and each dual vertex
+    S_F / 2, so the sweep costs O(vertices + rays).
+
+    Raises DegenerateForm when there is no ray, or when a ray has zero
+    norm (the ball is unbounded), naming the first such ray in
+    `nonfibered_rays` order.
     """
-    base = nonfibered_rays(d)
-    if not base:
+    lines = _forms_by_line(d)
+    if not lines:
         raise DegenerateForm("diagram has no non-fibered rays")
-    for r in base:
-        if r.norm == 0:
+    up = list(lines)[::-1]
+    down = [(-x, -y) for x, y in up]
+    signed = ([p for p in down if p[1] < 0] + up
+              + [p for p in down if p[1] >= 0])
+    forms_on = dict(lines)
+    forms_on.update(((-x, -y), forms) for (x, y), forms in lines.items())
+
+    (x0, y0), (x1, y1) = signed[0], signed[1]
+    mx, my = x0 + x1, y0 + y1
+    sx = sy = 0
+    for _v, a, b, deg in d.virtual_forms():
+        pairing = a * mx + b * my
+        if pairing:
+            w = deg - 2 if pairing > 0 else 2 - deg
+            sx += w * a
+            sy += w * b
+    classes = [(sx, sy)]
+    norms = {signed[0]: sx * x0 + sy * y0}
+    for i in range(1, len(signed)):
+        px, py = signed[i - 1]
+        r = signed[i]
+        for _v, a, b, deg in forms_on[r]:
+            w = 2 * (deg - 2) if a * px + b * py > 0 else 2 * (2 - deg)
+            sx -= w * a
+            sy -= w * b
+        classes.append((sx, sy))
+        norms[r] = sx * r[0] + sy * r[1]
+
+    for p in lines:
+        if norms[p] == 0:
             raise DegenerateForm("ray %s has zero norm, the unit ball is "
-                                 "unbounded" % (r.primitive,))
-    up = base[::-1]
-    down = [Ray((-r.primitive[0], -r.primitive[1]), r.norm) for r in up]
-    signed = ([r for r in down if r.primitive[1] < 0] + up
-              + [r for r in down if r.primitive[1] >= 0])
-    faces = []
-    for i, lo in enumerate(signed):
-        hi = signed[(i + 1) % len(signed)]
-        faces.append(FibredFace(lo, hi,
-                                dual_vertex(lo.primitive, lo.norm,
-                                            hi.primitive, hi.norm)))
-    return NormBall(tuple(signed), tuple(faces))
+                                 "unbounded" % (p,))
+    rays = [Ray(p, norms[p]) for p in signed]
+    faces = tuple(FibredFace(lo, rays[(i + 1) % len(rays)],
+                             (Fraction(sx, 2), Fraction(sy, 2)))
+                  for i, (lo, (sx, sy)) in enumerate(zip(rays, classes)))
+    return NormBall(tuple(rays), faces)
 
 
 def alexander_norm(delta, m):

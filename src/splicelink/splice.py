@@ -60,6 +60,9 @@ class VertexKind(Enum):
     ARROW = "arrow"
 
 
+_KINDS = {kind.value: kind for kind in VertexKind}
+
+
 @dataclass(frozen=True)
 class Vertex:
     id: str
@@ -175,32 +178,38 @@ class SpliceDiagram:
         """Map from vertex id x to lk(src, x), for every x that the BFS
         from `src` reaches without passing an undeclared id.
 
-        One pass over the BFS parent map that `path` walks, so every tree
-        path is the one `path` returns.  `before[x]` is the product of the
-        node weights off the path at the vertices strictly before x; a
-        node x then multiplies in its own weights off the path, which at
-        the far end are all but the one toward its parent.  Cached per
-        source.
+        The row is filled during the BFS itself, along the same parent
+        links that `_bfs` gives `path`, so every tree path is the one
+        `path` returns.  Each queued vertex carries its parent and the
+        product of the node weights off the path at the vertices before
+        it, or None beyond an undeclared id; a node x then multiplies in
+        its own weights off the path, which at the far end are all but
+        the one toward its parent.  Cached per source.
         """
         row = self._lk_rows.get(src)
         if row is None:
             adj, by_id = self._adj, self._by_id
-            parents = _bfs(adj, src)
-            before = {}
+            node = VertexKind.NODE
             row = {}
-            for x, p in parents.items():
-                if x not in by_id or (p is not None and p not in row):
-                    continue
-                if p is None:
-                    before[x] = 1
-                elif by_id[p].kind is VertexKind.NODE:
-                    before[x] = before[p] * _weights_off_path(
-                        adj, p, parents[p], x)
-                else:
-                    before[x] = before[p]
-                row[x] = before[x]
-                if by_id[x].kind is VertexKind.NODE:
-                    row[x] *= _weights_off_path(adj, x, p, None)
+            seen = {src}
+            queue = deque([(src, None, 1 if src in by_id else None)])
+            while queue:
+                cur, prev, before = queue.popleft()
+                at_node = before is not None and by_id[cur].kind is node
+                if before is not None:
+                    row[cur] = (before * _weights_off_path(adj, cur, prev, None)
+                                if at_node else before)
+                for nxt, _weight in adj[cur]:
+                    if nxt in seen:
+                        continue
+                    seen.add(nxt)
+                    if before is None or nxt not in by_id:
+                        after = None
+                    elif at_node:
+                        after = before * _weights_off_path(adj, cur, prev, nxt)
+                    else:
+                        after = before
+                    queue.append((nxt, cur, after))
             self._lk_rows[src] = row
         return row
 
@@ -209,6 +218,7 @@ class SpliceDiagram:
         boundary vertex, in declaration order.  Cached on first use."""
         if self._forms is None:
             k1, k2 = self.arrowheads
+            adj = self._adj
             forms = []
             for v in self.vertices:
                 if v.kind is VertexKind.ARROW:
@@ -216,7 +226,7 @@ class SpliceDiagram:
                 forms.append((v,
                               linking_number(self, k1.id, v.id),
                               linking_number(self, k2.id, v.id),
-                              self.degree(v.id)))
+                              len(adj[v.id])))
             self._forms = forms
         return self._forms
 
@@ -229,10 +239,13 @@ def linking_number(d, v, w):
     not on the path, that is, of every edge to a neighbour other than the
     node's path neighbours.  The whole row lk(v, .) is computed by one
     pass on the first call from v and cached on the diagram, so later
-    calls from v are lookups.
+    calls from v are lookups, and the vertex checks run only on a miss.
     """
     if v == w:
         raise ValueError("linking number needs two distinct vertices")
+    row = d._lk_rows.get(v)
+    if row is not None and w in row:
+        return row[w]
     d.vertex(v)
     d.vertex(w)
     row = d._lk_from(v)
@@ -260,8 +273,8 @@ def validate(d):
     ids = {v.id for v in d.vertices}
     usable = []
     for e in d.edges:
-        missing = [x for x in (e.a, e.b) if x not in ids]
-        if missing:
+        if e.a not in ids or e.b not in ids:
+            missing = [x for x in (e.a, e.b) if x not in ids]
             problems.append("UnknownVertex: edge %s-%s references undeclared %s"
                             % (e.a, e.b, ", ".join(repr(x) for x in missing)))
         elif e.a == e.b:
@@ -277,7 +290,8 @@ def validate(d):
         problems.append("ArrowheadCount: expected 2 arrowheads, found %d"
                         % len(arrows))
 
-    adj = _adjacency(d.vertices, usable)
+    adj = (d._adj if len(usable) == len(d.edges)
+           else _adjacency(d.vertices, usable))
     for v in d.vertices:
         degree = len(adj[v.id])
         if v.kind is not VertexKind.NODE and degree != 1:
@@ -304,13 +318,10 @@ def parse_diagram(text):
     name = None
     vertices = []
     edges = []
-    kinds = {"node": VertexKind.NODE,
-             "bvertex": VertexKind.BOUNDARY,
-             "arrow": VertexKind.ARROW}
     last_line = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
         last_line = lineno
-        line = raw.split("#", 1)[0].strip()
+        line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
         if not line:
             continue
         parts = line.split()
@@ -323,10 +334,10 @@ def parse_diagram(text):
             if len(parts) != 2:
                 raise DiagramSyntaxError(lineno, "usage: diagram <name>")
             name = parts[1]
-        elif kw in kinds:
+        elif kw in _KINDS:
             if len(parts) != 2:
                 raise DiagramSyntaxError(lineno, "usage: %s <id>" % kw)
-            vertices.append(Vertex(parts[1], kinds[kw]))
+            vertices.append(Vertex(parts[1], _KINDS[kw]))
         elif kw == "edge":
             if len(parts) != 5:
                 raise DiagramSyntaxError(

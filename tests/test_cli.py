@@ -12,6 +12,7 @@ import splicelink
 from splicelink.cli import Report, build_report, main, recognize_family
 from splicelink.errors import ComputationError
 from splicelink.invariants import alexander_polynomial
+from splicelink.laurent import LaurentPoly
 from splicelink.polytope import NormBall, unit_ball
 from splicelink.splice import build_k2n, parse_diagram, render_diagram
 from splicelink.svg import ball_svg, hull_svg
@@ -186,6 +187,37 @@ def test_hull_is_read_off_the_factors_in_bounded_memory():
     proc = run_in_one_gib(["hull", "--family", "8"])
     assert (proc.returncode, proc.stderr) == (0, "")
     assert len(proc.stdout.splitlines()) == 32
+
+
+@pytest.mark.parametrize("command", ["alex", "hull", "sw", "report"])
+def test_odd_span_is_reported_without_expanding_the_product(
+        command, monkeypatch, capsys):
+    # Once Δ's factors are built, the half-integral shift is read off
+    # their extremes; the product an OddSpan carries is expanded only when
+    # its .poly is read, which no command does.
+    oddspan = Path(__file__).parent / "data" / "oddspan.sd"
+    factored = []
+    late_products = []
+    real_factors = splicelink.cli.alexander_factors
+    real_mul = LaurentPoly.__mul__
+
+    def factors(d):
+        out = real_factors(d)
+        factored.append(len(out))
+        return out
+
+    def counting_mul(self, other):
+        if factored:
+            late_products.append((len(self), len(other)))
+        return real_mul(self, other)
+
+    monkeypatch.setattr(splicelink.cli, "alexander_factors", factors)
+    monkeypatch.setattr(LaurentPoly, "__mul__", counting_mul)
+    code, out, err = run([command, str(oddspan)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("laurent.OddSpan: ")
+    assert factored and factored[0] > 1
+    assert late_products == []
 
 
 def test_non_utf8_file_is_an_io_error(tmp_path, capsys):

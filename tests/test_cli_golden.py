@@ -3,7 +3,9 @@ the SHA-256 (first 16 hex digits) of its stdout, its stderr and every file
 it writes.
 
 `{tmp}` in a command is a fresh directory, `{tree}` the small random tree
-in `tests/data/tree5.sd`, `{found20}` the 20-node random tree in
+in `tests/data/tree5.sd`, `{tree56}` the 56-vertex random tree of
+`splicebench/gen.py` `random_tree(7)` in `tests/data/tree56.sd`,
+`{found20}` the 20-node random tree in
 `tests/data/found20.sd`, `{oddspan}` the small tree in
 `tests/data/oddspan.sd` whose Δ cannot be centered, and `{k4}` the file
 written by `gen --n 2`.  A
@@ -25,6 +27,7 @@ import pytest
 from splicelink.cli import main
 
 TREE = Path(__file__).parent / "data" / "tree5.sd"
+TREE56 = Path(__file__).parent / "data" / "tree56.sd"
 FOUND20 = Path(__file__).parent / "data" / "found20.sd"
 ODDSPAN = Path(__file__).parent / "data" / "oddspan.sd"
 
@@ -100,6 +103,21 @@ GOLDEN = [
     ("hull {oddspan}", 2, EMPTY, "2537cb81cf2ae21e", {}),
     ("sw {oddspan}", 2, EMPTY, "2537cb81cf2ae21e", {}),
     ("report {oddspan}", 2, EMPTY, "2537cb81cf2ae21e", {}),
+    # The 56-vertex random tree and the 24-node chain of the tree-forms
+    # benchmark workload.
+    ("ball {tree56} --svg {tmp}/ball.svg", 0,
+     "d8a32777cb91816d", EMPTY, {"ball.svg": "59b68b7d6e092bd7"}),
+    ("orbits {tree56}", 0, "7de1555df0c27003", EMPTY, {}),
+    ("lk {tree56}", 0, "8c9bd6045532f151", EMPTY, {}),
+    ("norm {tree56} -m 1,1", 0, "95207cb64210cf07", EMPTY, {}),
+    ("norm {tree56} -m 2,-24", 0, "e1a4b131cdb70223", EMPTY, {}),
+    ("fibered {tree56} -m 1,1", 0, "9600415f6f3b4916", EMPTY, {}),
+    ("fibered {tree56} -m 2,-24", 0, "5496ca78c8ad9092", EMPTY, {}),
+    ("slopes {tree56} -m 1,1", 0, "c115dfbe45cfa763", EMPTY, {}),
+    ("slopes {tree56} -m=-45,2", 0, "469d6ba65d15f45a", EMPTY, {}),
+    ("ball --family 12 --svg {tmp}/ball.svg", 0,
+     "59f06d365cb4757f", EMPTY, {"ball.svg": "fe3cfa1e0c345e13"}),
+    ("orbits --family 12", 0, "1a252402972f6057", EMPTY, {}),
     ("orbits {tree} --family 1", 1, EMPTY, "5d8b8086241fdbf9", {}),
     ("norm --family 1", 1, EMPTY, "75468fe77a318e33", {}),
 ]
@@ -119,6 +137,7 @@ def run_command(command, tmp, k4):
     """Run one table command in process; returns its table row."""
     argv = shlex.split(command.format(tmp=shlex.quote(str(tmp)),
                                       tree=shlex.quote(str(TREE)),
+                                      tree56=shlex.quote(str(TREE56)),
                                       found20=shlex.quote(str(FOUND20)),
                                       oddspan=shlex.quote(str(ODDSPAN)),
                                       k4=shlex.quote(str(k4))))

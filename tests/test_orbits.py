@@ -5,9 +5,11 @@ from functools import cmp_to_key
 import pytest
 from test_splice import random_diagram
 
+from splicelink.errors import ComputationError
 from splicelink.invariants import (DegenerateForm, Ray, nonfibered_rays,
                                    thurston_norm)
-from splicelink.orbits import (LatticeMap, NotAGroup, face_orbits,
+from splicelink.orbits import (LatticeMap, NotAGroup, OrbitPartition,
+                               _require_group, face_orbits,
                                lattice_symmetries, min_structure_count)
 from splicelink.polytope import NormBall, unit_ball
 from splicelink.splice import build_k2n
@@ -222,6 +224,84 @@ class TestFaceOrbits:
         for i, c in enumerate(canon):
             by_orbit.setdefault(part.face_labels[i], set()).add(c.divisibility)
         assert all(len(values) == 1 for values in by_orbit.values())
+
+
+def pair_keyed_face_orbits(ball, maps):
+    """Oracle: each face keyed by the unordered pair of its ray
+    primitives, each face's image looked up by the pair of its images."""
+    _require_group(maps)
+    faces = ball.faces
+    index_of = {frozenset((f.ray_lo.primitive, f.ray_hi.primitive)): i
+                for i, f in enumerate(faces)}
+    parent = list(range(len(faces)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for m in maps:
+        for i, f in enumerate(faces):
+            key = frozenset((m.apply(f.ray_lo.primitive),
+                             m.apply(f.ray_hi.primitive)))
+            if key not in index_of:
+                raise ValueError("map %s does not permute the faces"
+                                 % (m.entries,))
+            ri, rj = find(i), find(index_of[key])
+            if ri != rj:
+                parent[rj] = ri
+    labels = {}
+    face_labels = {}
+    for i in range(len(faces)):
+        face_labels[i] = labels.setdefault(find(i), len(labels))
+    return OrbitPartition(face_labels, len(labels))
+
+
+def orbit_outcome(route, ball, maps):
+    """route(ball, maps), or the type and message of the error it raises."""
+    try:
+        return route(ball, maps)
+    except (ComputationError, ValueError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _all_balls():
+    cases = [("chain %d" % n, build_k2n(n)) for n in range(1, 51)]
+    cases += [("random %d" % seed, random_diagram(seed))
+              for seed in range(400)]
+    balls = []
+    for name, d in cases:
+        try:
+            balls.append((name, unit_ball(d)))
+        except DegenerateForm:
+            pass
+    return balls
+
+
+ALL_BALLS = _all_balls()
+ORDER_FOUR = [IDENTITY, MINUS, SWAP, MINUS_SWAP]
+
+
+class TestFaceOrbitsAgainstPairKeys:
+    """face_orbits by ray index against faces keyed by primitive pairs."""
+
+    @pytest.mark.parametrize("name,ball", ALL_BALLS,
+                             ids=[case[0] for case in ALL_BALLS])
+    def test_same_partition_or_same_error(self, name, ball):
+        groups = [ORDER_FOUR, [IDENTITY, MINUS], [SWAP, IDENTITY]]
+        if all(r.norm > 0 for r in ball.rays):
+            groups.append(lattice_symmetries(ball))
+        for maps in groups:
+            assert orbit_outcome(face_orbits, ball, maps) == \
+                orbit_outcome(pair_keyed_face_orbits, ball, maps)
+
+    def test_cases_cover_partitions_and_errors(self):
+        tally = {}
+        for _name, ball in ALL_BALLS:
+            got = orbit_outcome(face_orbits, ball, ORDER_FOUR)
+            kind = got[0] if isinstance(got, tuple) else "partition"
+            tally[kind] = tally.get(kind, 0) + 1
+        assert tally == {"partition": 53, "ValueError": 151}
 
 
 class TestMinStructureCount:

@@ -1,13 +1,17 @@
 from fractions import Fraction
 
 import pytest
+from test_splice import random_diagram
 
-from splicelink.invariants import Ray
+from splicelink import invariants, polytope
+from splicelink.errors import ComputationError
+from splicelink.invariants import DegenerateForm, Ray, nonfibered_rays
 from splicelink.laurent import LaurentPoly, ZeroPolynomial
 from splicelink.polytope import (FibredFace, NonIntegerDual, NormBall,
                                  SingularSystem, ZeroVector, alexander_norm,
                                  check_duality, divisibility, dual_vertex,
                                  unit_ball)
+from splicelink.splice import build_k2n
 
 K4_DUALS = [(14, -38), (32, -32), (38, -14), (40, 40),
             (-14, 38), (-32, 32), (-38, 14), (-40, -40)]
@@ -85,6 +89,72 @@ class TestUnitBall:
             for dual in (face.dual, nxt.dual):
                 assert 2 * (r.primitive[0] * dual[0]
                             + r.primitive[1] * dual[1]) == r.norm
+
+
+def ray_by_ray_ball(d):
+    """Oracle: the ball built ray by ray, each norm a full thurston_norm
+    (nonfibered_rays), each dual vertex solved from its face's two rays
+    (dual_vertex), the signed rays ordered from nonfibered_rays' order."""
+    base = nonfibered_rays(d)
+    if not base:
+        raise DegenerateForm("diagram has no non-fibered rays")
+    for r in base:
+        if r.norm == 0:
+            raise DegenerateForm("ray %s has zero norm, the unit ball is "
+                                 "unbounded" % (r.primitive,))
+    up = base[::-1]
+    down = [Ray((-r.primitive[0], -r.primitive[1]), r.norm) for r in up]
+    signed = ([r for r in down if r.primitive[1] < 0] + up
+              + [r for r in down if r.primitive[1] >= 0])
+    faces = []
+    for i, lo in enumerate(signed):
+        hi = signed[(i + 1) % len(signed)]
+        faces.append(FibredFace(lo, hi,
+                                dual_vertex(lo.primitive, lo.norm,
+                                            hi.primitive, hi.norm)))
+    return NormBall(tuple(signed), tuple(faces))
+
+
+def ball_outcome(route, d):
+    """route(d), or the type and message of the error it raises."""
+    try:
+        return route(d)
+    except ComputationError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+SWEEP_CASES = ([("chain", n) for n in range(1, 51)]
+               + [("random", seed) for seed in range(400)])
+
+
+class TestSweepAgainstRayByRay:
+    """unit_ball's angular sweep against the ray-by-ray construction."""
+
+    @pytest.mark.parametrize("kind,arg", SWEEP_CASES,
+                             ids=["%s %d" % case for case in SWEEP_CASES])
+    def test_same_ball_or_same_error(self, kind, arg):
+        d = build_k2n(arg) if kind == "chain" else random_diagram(arg)
+        assert ball_outcome(unit_ball, d) == ball_outcome(ray_by_ray_ball, d)
+
+    def test_random_cases_cover_balls_and_errors(self):
+        tally = {}
+        for seed in range(400):
+            got = ball_outcome(unit_ball, random_diagram(seed))
+            kind = "ball" if isinstance(got, NormBall) else got[1].split()[0]
+            tally[kind] = tally.get(kind, 0) + 1
+        assert tally == {"ball": 154, "ray": 246}  # "ray ... has zero norm"
+
+    def test_sweep_needs_no_norm_and_no_dual_solve(self, monkeypatch):
+        expected = ray_by_ray_ball(build_k2n(200))
+
+        def forbidden(*_args):
+            raise AssertionError("the sweep called a ray-by-ray route")
+
+        for module, name in [(invariants, "thurston_norm"),
+                             (invariants, "nonfibered_rays"),
+                             (polytope, "dual_vertex")]:
+            monkeypatch.setattr(module, name, forbidden)
+        assert unit_ball(build_k2n(200)) == expected
 
 
 class TestAlexanderNorm:
