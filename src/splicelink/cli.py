@@ -30,7 +30,8 @@ from dataclasses import dataclass, fields
 from .errors import ComputationError
 from .invariants import (alexander_factors, boundary_slope, is_fibered,
                          thurston_norm)
-from .laurent import centered_product, product_newton_polygon
+from .laurent import (centered_product, mixed_radix_count,
+                      product_newton_polygon)
 from .orbits import face_orbits, lattice_symmetries, min_structure_count
 from .polytope import unit_ball
 from .splice import (SpliceDiagram, VertexKind, build_k2n, linking_number,
@@ -43,6 +44,7 @@ from .swtheory import canonical_classes, sw_polynomial
 # needs no escaping).
 _TERM_JSON = '    [\n      %d,\n      %d,\n      "%s"\n    ]'
 _TERM_FIELDS = ("alexander", "sw_basic_classes")
+_TERM_BLOCK = 256   # terms per chunk of a streamed term array
 
 
 class UsageError(Exception):
@@ -88,12 +90,16 @@ def _read_text(path):
         raise IoError(str(exc)) from exc
 
 
-def _write_text(path, text):
+def _write_chunks(path, chunks):
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     except OSError as exc:
         raise IoError(str(exc)) from exc
+
+
+def _write_text(path, text):
+    _write_chunks(path, (text,))
 
 
 def recognize_family(d):
@@ -159,24 +165,32 @@ class Report:
     orbit_count: int
     homotopy_k3: bool
 
-    def to_json(self):
-        """The same bytes as json.dumps(asdict(self), indent=2) and a
-        final newline.
+    def json_chunks(self):
+        """The JSON text in pieces, the one source of its bytes: the same
+        bytes as json.dumps(asdict(self), indent=2) and a final newline.
 
         json.dumps with an indent runs CPython's pure-Python encoder, so
         the two term arrays, the bulk of the text, are laid out with one
-        string template instead; every other field goes through json.dumps
-        and is indented one level deeper."""
-        items = []
+        string template, a block of terms per chunk; every other field goes
+        through json.dumps and is indented one level deeper."""
+        separator = "{\n"
         for f in fields(self):
             value = getattr(self, f.name)
+            yield "%s  %s: " % (separator, json.dumps(f.name))
+            separator = ",\n"
             if f.name in _TERM_FIELDS and value:
-                text = "[\n%s\n  ]" % ",\n".join(
-                    _TERM_JSON % (e1, e2, c) for e1, e2, c in value)
+                for i in range(0, len(value), _TERM_BLOCK):
+                    yield ("[\n" if i == 0 else ",\n") + ",\n".join(
+                        [_TERM_JSON % (e1, e2, c)
+                         for e1, e2, c in value[i:i + _TERM_BLOCK]])
+                yield "\n  ]"
             else:
-                text = json.dumps(value, indent=2).replace("\n", "\n  ")
-            items.append("  %s: %s" % (json.dumps(f.name), text))
-        return "{\n%s\n}\n" % ",\n".join(items)
+                yield json.dumps(value, indent=2).replace("\n", "\n  ")
+        yield "\n}\n"
+
+    def to_json(self):
+        """The whole JSON text, json_chunks joined."""
+        return "".join(self.json_chunks())
 
     @classmethod
     def from_json(cls, text):
@@ -299,11 +313,16 @@ def cmd_sw(args):
     family_n = args.family or recognize_family(d)
     factors = alexander_factors(d)
     # The SW polynomial is Δ(t1^2, t2^2): Δ's term count, Δ's hull doubled.
+    # The family's count is read off the factors; any other diagram prints
+    # Δ, so it expands Δ anyway.
     hull = product_newton_polygon(factors)
-    delta = centered_product(factors)
+    count = mixed_radix_count(factors) if family_n else None
+    if count is None:
+        delta = centered_product(factors)
+        count = len(delta)
     print("SW polynomial: %s" % (_factored_text(factors, 2) if family_n
                                  else sw_polynomial(delta)))
-    print("basic classes: %d" % len(delta))
+    print("basic classes: %d" % count)
     print("hull vertices: %s"
           % " ".join("(%d,%d)" % (2 * e1, 2 * e2) for e1, e2 in hull))
     print("all classes even: yes")  # sw is Δ(t1^2, t2^2)
@@ -344,7 +363,7 @@ def cmd_report(args):
     print("orbit count: %d" % report.orbit_count)
     print("homotopy K3: %s" % ("yes" if report.homotopy_k3 else "no"))
     if args.json:
-        _write_text(args.json, report.to_json())
+        _write_chunks(args.json, report.json_chunks())
     return 0
 
 

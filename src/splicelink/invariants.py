@@ -21,7 +21,7 @@ from functools import cmp_to_key
 from math import gcd
 
 from .errors import ComputationError
-from .laurent import LaurentPoly, centered_product
+from .laurent import LaurentPoly, NotDivisible, centered_product
 from .splice import linking_number
 
 
@@ -121,15 +121,43 @@ def nonfibered_rays(d):
     return [Ray(p, thurston_norm(d, p)) for p in _forms_by_line(d)]
 
 
+def _check_line_quotient(forms):
+    """Raise NotDivisible unless the quotient of one kernel line's node
+    binomials by its degree-1 binomials is a Laurent polynomial, without
+    multiplying anything.
+
+    On the line with primitive p every form is g·(−p2, p1), |g| the gcd of
+    its two linking numbers, so with u = t^(−p2, p1) each binomial is
+    u^g − 1 = Π_{k | g} Φ_k(u) up to a unit.  Cyclotomic polynomials are
+    irreducible and distinct, so the quotient exists iff
+    e_k = Σ_v (deg_v − 2)·[k divides |g_v|] is ≥ 0 for every k.  e_k
+    depends only on the set of |g_v| that k divides, and that set is the
+    one of their gcd G, an element of the gcd-closure of the |g_v|; so
+    checking e_G ≥ 0 over that closure decides, with no factorization
+    (Eisenbud & Neumann)."""
+    weighted = [(gcd(a, b), deg - 2) for _v, a, b, deg in forms if deg != 2]
+    closure = set()
+    for g, _w in weighted:
+        closure |= {gcd(g, h) for h in closure}
+        closure.add(g)
+    for divisor in closure:
+        if sum(w for g, w in weighted if g % divisor == 0) < 0:
+            raise NotDivisible("no exact Laurent quotient")
+
+
 def alexander_factors(d):
     """The uncentered factors of the Alexander polynomial, one per ray of
     nonfibered_rays and in its order: the product of
     (t1^lk(K1,v) t2^lk(K2,v) - 1)^(degree(v) - 2) over the virtual
-    vertices whose kernel line is that ray.  Degree-1 binomials are
-    divided out of the line's numerator one at a time, each division
-    exact or NotDivisible.  The 2n-node chain gives 2n trinomials."""
+    vertices whose kernel line is that ray.  Every line is checked for an
+    exact quotient before any is multiplied (NotDivisible); then the
+    degree-1 binomials are divided out of the line's numerator one at a
+    time.  The 2n-node chain gives 2n trinomials."""
+    lines = list(_forms_by_line(d).values())
+    for forms in lines:
+        _check_line_quotient(forms)
     factors = []
-    for forms in _forms_by_line(d).values():
+    for forms in lines:
         numerator = LaurentPoly.one()
         denominators = []
         for _v, a, b, deg in forms:

@@ -7,12 +7,15 @@ are never mutated after construction, so values are safe to share between
 threads.
 
 Leading terms, exact division and the canonical term order all use graded
-lexicographic order on (e1, e2).
+lexicographic order on (e1, e2).  Like the Newton polygon, the ascending
+term order is computed once per polynomial, on first use, and cached: the
+printed text, the JSON terms and ``sorted_terms`` all read that one sort.
 """
 
 import heapq
 from fractions import Fraction
 from functools import cached_property, reduce
+from math import prod
 from operator import mul
 
 from .errors import ComputationError
@@ -47,8 +50,27 @@ class OddSpan(ComputationError):
 
 
 def grlex_key(e):
-    """Graded-lexicographic sort key for an exponent pair."""
-    return (e[0] + e[1], e[0], e[1])
+    """Graded-lexicographic sort key for an exponent pair: (e1 + e2, e1),
+    which fixes e2, so no third entry is needed."""
+    return (e[0] + e[1], e[0])
+
+
+def _term_text(e, c):
+    """One term of the printed polynomial with its leading " + " or " - "."""
+    e1, e2 = e
+    if e1:
+        m = "t1" if e1 == 1 else "t1^%d" % e1
+        if e2:
+            m += " t2" if e2 == 1 else " t2^%d" % e2
+    elif e2:
+        m = "t2" if e2 == 1 else "t2^%d" % e2
+    else:
+        return " - %d" % -c if c < 0 else " + %d" % c
+    if c == 1:
+        return " + " + m
+    if c == -1:
+        return " - " + m
+    return " - %d %s" % (-c, m) if c < 0 else " + %d %s" % (c, m)
 
 
 def convex_hull(points):
@@ -112,6 +134,35 @@ def product_newton_polygon(factors):
     return [(e1 - s1, e2 - s2) for e1, e2 in hull]
 
 
+def mixed_radix_count(factors):
+    """The number of terms of the product of the nonzero factors, read off
+    their supports when a mixed-radix certificate holds, else None.
+
+    Project every support onto e1 (then, failing that, onto e2).  When
+    each factor's projection is injective and, with the factors ordered by
+    the span of their projections, each factor's smallest gap exceeds the
+    sum of the spans before it, every choice of one term per factor has
+    its own projected sum.  Then no two products of terms meet, nothing
+    cancels, and the product has Π len(factor) terms.
+    """
+    for axis in (0, 1):
+        projections = []
+        for factor in factors:
+            values = sorted({e[axis] for e in factor.support()})
+            if len(values) < len(factor):
+                break
+            projections.append(values)
+        else:
+            reach = 0
+            for values in sorted(projections, key=lambda v: v[-1] - v[0]):
+                if any(b - a <= reach for a, b in zip(values, values[1:])):
+                    break
+                reach += values[-1] - values[0]
+            else:
+                return prod(len(factor) for factor in factors)
+    return None
+
+
 def centered_product(factors):
     """The product of the nonzero factors, centered as symmetrize centers
     it, with a positive graded-lex-leading coefficient.  That order is
@@ -126,7 +177,7 @@ def centered_product(factors):
 class LaurentPoly:
     """Sparse bivariate Laurent polynomial with integer coefficients."""
 
-    __slots__ = ("_terms", "_hull")
+    __slots__ = ("_terms", "_hull", "_order")
 
     def __init__(self, terms=None):
         data = {}
@@ -143,6 +194,7 @@ class LaurentPoly:
                     data.pop(key, None)
         self._terms = data
         self._hull = None
+        self._order = None
 
     @classmethod
     def _raw(cls, data):
@@ -150,6 +202,7 @@ class LaurentPoly:
         obj = cls.__new__(cls)
         obj._terms = data
         obj._hull = None
+        obj._order = None
         return obj
 
     @classmethod
@@ -186,15 +239,26 @@ class LaurentPoly:
     def coefficient(self, e1, e2):
         return self._terms.get((e1, e2), 0)
 
+    def _sorted_keys(self):
+        """The exponent pairs in ascending graded-lex order, sorted once and
+        cached."""
+        if self._order is None:
+            self._order = sorted(self._terms, key=grlex_key)
+        return self._order
+
     def sorted_terms(self):
         """Terms as ((e1, e2), coeff) pairs in ascending graded-lex order."""
-        return sorted(self._terms.items(), key=lambda t: grlex_key(t[0]))
+        terms = self._terms
+        return [(e, terms[e]) for e in self._sorted_keys()]
 
     def leading_term(self):
         """((e1, e2), coeff) at the graded-lex-largest exponent pair."""
         if not self._terms:
             raise ZeroPolynomial("the zero polynomial has no leading term")
-        e = max(self._terms, key=grlex_key)
+        if self._order is not None:
+            e = self._order[-1]
+        else:
+            e = max(self._terms, key=grlex_key)
         return e, self._terms[e]
 
     def __eq__(self, other):
@@ -390,7 +454,8 @@ class LaurentPoly:
     def to_json_terms(self):
         """JSON form: [e1, e2, coefficient-as-decimal-string] triples,
         ascending graded-lex."""
-        return [[e[0], e[1], str(c)] for e, c in self.sorted_terms()]
+        terms = self._terms
+        return [[e[0], e[1], str(terms[e])] for e in self._sorted_keys()]
 
     @classmethod
     def from_json_terms(cls, triples):
@@ -401,32 +466,13 @@ class LaurentPoly:
     def __str__(self):
         if not self._terms:
             return "0"
-
-        def mono(e1, e2):
-            bits = []
-            if e1:
-                bits.append("t1" if e1 == 1 else "t1^%d" % e1)
-            if e2:
-                bits.append("t2" if e2 == 1 else "t2^%d" % e2)
-            return " ".join(bits)
-
-        pieces = []
-        ordered = sorted(self._terms.items(),
-                         key=lambda t: grlex_key(t[0]), reverse=True)
-        for (e1, e2), c in ordered:
-            m = mono(e1, e2)
-            if not m:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = m
-            else:
-                body = "%d %s" % (abs(c), m)
-            pieces.append(("-" if c < 0 else "+", body))
-        sign, body = pieces[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in pieces[1:]:
-            text += " %s %s" % (sign, body)
-        return text
+        terms = self._terms
+        pieces = [_term_text(e, terms[e])
+                  for e in reversed(self._sorted_keys())]
+        # the leading term drops the " + " or keeps only the "-" of " - "
+        first = pieces[0]
+        pieces[0] = "-" + first[3:] if first[1] == "-" else first[3:]
+        return "".join(pieces)
 
     def __repr__(self):
         return "LaurentPoly(%r)" % (self._terms,)

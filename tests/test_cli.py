@@ -1,8 +1,10 @@
+import gc
 import json
 import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -11,11 +13,12 @@ import pytest
 import splicelink
 from splicelink.cli import Report, build_report, main, recognize_family
 from splicelink.errors import ComputationError
-from splicelink.invariants import alexander_polynomial
-from splicelink.laurent import LaurentPoly
+from splicelink.invariants import alexander_factors, alexander_polynomial
+from splicelink.laurent import LaurentPoly, centered_product
 from splicelink.polytope import NormBall, unit_ball
 from splicelink.splice import build_k2n, parse_diagram, render_diagram
 from splicelink.svg import ball_svg, hull_svg
+from test_cli_golden import GOLDEN, run_command
 from test_splice import random_diagram
 
 
@@ -329,6 +332,110 @@ class TestReport:
         assert code == 0
         assert "orbit count: 3" in out
         assert "homotopy K3: yes" in out
+
+
+class TestStreamedReport:
+    """The report JSON goes to its file in chunks, never as one string."""
+
+    def test_written_without_to_json(self, tmp_path, monkeypatch):
+        def whole_string(_report):
+            raise AssertionError("the CLI built the whole JSON string")
+
+        monkeypatch.setattr(Report, "to_json", whole_string)
+        k4 = tmp_path / "k4.sd"
+        k4.write_text(render_diagram(build_k2n(2)))
+        for command in ("report --family 3 --json {tmp}/report.json",
+                        "report {k4} --json {tmp}/report.json"):
+            row = next(r for r in GOLDEN if r[0] == command)
+            assert run_command(command, tmp_path, k4) == row
+
+    @staticmethod
+    def recorded_writes(argv, monkeypatch, capsys):
+        """The CLI's write calls while it runs argv, one list per file."""
+        writes = []
+
+        class Recording:
+            def __init__(self, handle):
+                self.handle = handle
+                self.calls = []
+                writes.append(self.calls)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.handle.__exit__(*exc)
+
+            def write(self, text):
+                self.calls.append(text)
+                return self.handle.write(text)
+
+            def writelines(self, lines):
+                for line in lines:
+                    self.write(line)
+
+        monkeypatch.setattr(splicelink.cli, "open",
+                            lambda *a, **k: Recording(open(*a, **k)),
+                            raising=False)
+        code, _out, _err = run(argv, capsys)
+        assert code == 0
+        return writes
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--n", "2", "-o", "{tmp}/k4.sd"],
+        ["hull", "--family", "2", "--svg", "{tmp}/hull.svg"],
+        ["ball", "--family", "2", "--svg", "{tmp}/ball.svg"]])
+    def test_text_files_take_one_write(self, argv, tmp_path, monkeypatch,
+                                       capsys):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        writes = self.recorded_writes(argv, monkeypatch, capsys)
+        assert [len(calls) for calls in writes] == [1]
+        assert writes[0][0] == Path(argv[-1]).read_text()
+
+    def test_report_is_written_in_term_blocks(self, tmp_path, monkeypatch,
+                                              capsys):
+        path = tmp_path / "r.json"
+        writes = self.recorded_writes(
+            ["report", "--family", "3", "--json", str(path)], monkeypatch,
+            capsys)
+        assert len(writes) == 1
+        chunks = writes[0]
+        assert "".join(chunks) == path.read_text()
+        # 729 terms in each of two arrays, 256 terms a chunk
+        terms = [chunk.count('"\n    ]') for chunk in chunks]
+        assert [t for t in terms if t] == [256, 256, 217] * 2
+
+    def test_peak_memory_is_a_small_multiple_of_delta(self, tmp_path,
+                                                      capsys):
+        run(["report", "--family", "1"], capsys)  # caches and imports
+        gc.collect()
+        tracemalloc.start()
+        try:
+            factors = alexander_factors(build_k2n(4))
+            before = tracemalloc.get_traced_memory()[0]
+            delta = centered_product(factors)
+            delta_size = tracemalloc.get_traced_memory()[0] - before
+            del delta, factors
+            gc.collect()
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            code, _out, _err = run(["report", "--family", "4", "--json",
+                                    str(tmp_path / "r.json")], capsys)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 3.5 * delta_size
+
+
+def test_family_sw_counts_without_expanding(monkeypatch, capsys):
+    def expand(_factors):
+        raise AssertionError("sw expanded the family's Δ")
+
+    monkeypatch.setattr(splicelink.cli, "centered_product", expand)
+    code, out, _err = run(["sw", "--family", "6"], capsys)
+    assert code == 0
+    assert "basic classes: %d\n" % 3 ** 12 in out
 
 
 class TestSvg:

@@ -1,6 +1,7 @@
 import io
 import random
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -10,10 +11,11 @@ from splicelink.invariants import (DegenerateForm, IndexOutOfRange, ZeroSlope,
                                    alexander_factors, alexander_polynomial,
                                    boundary_slope, closed_form_ray_norm,
                                    is_fibered, nonfibered_rays, thurston_norm)
-from splicelink.laurent import (LaurentPoly, OddSpan, centered_product,
+from splicelink.laurent import (LaurentPoly, NotDivisible, OddSpan,
+                                centered_product, mixed_radix_count,
                                 product_newton_polygon)
 from splicelink.splice import (Edge, SpliceDiagram, Vertex, VertexKind,
-                               build_k2n, render_diagram)
+                               build_k2n, parse_diagram, render_diagram)
 from splicelink.swtheory import sw_polynomial
 from test_laurent import centering_outcome, symmetrized_product
 from test_splice import random_diagram
@@ -198,6 +200,66 @@ class TestAlexanderFactors:
             with pytest.raises(DegenerateForm) as error:
                 f(d)
             assert str(error.value) == str(rays_error.value)
+
+
+class TestLineQuotientCheck:
+    """NotDivisible from the cyclotomic exponents, before any product."""
+
+    def test_not_divisible_before_any_product(self, monkeypatch):
+        # the dense product of found20.sd's node binomials does not fit in
+        # memory; the golden CLI rows pin its NotDivisible
+        found20 = Path(__file__).parent / "data" / "found20.sd"
+        diagrams = [parse_diagram(found20.read_text())]
+        diagrams += [d for d in map(random_diagram, range(400))
+                     if outcome(dense_alexander, d) == "NotDivisible"]
+        products = []
+        real_mul = LaurentPoly.__mul__
+
+        def counting_mul(self, other):
+            products.append(1)
+            return real_mul(self, other)
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", counting_mul)
+        for d in diagrams:
+            with pytest.raises(NotDivisible,
+                               match="^no exact Laurent quotient$"):
+                alexander_factors(d)
+        assert len(diagrams) == 75
+        assert products == []
+
+
+class TestMixedRadixCount:
+    """len(Δ) = Π len(factor), certified from the factors' supports."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_chain(self, n):
+        factors = alexander_factors(build_k2n(n))
+        count = mixed_radix_count(factors)
+        assert count == len(centered_product(factors)) == 3 ** (2 * n)
+
+    def test_random_diagrams(self):
+        with_delta = certified = 0
+        for seed in range(400):
+            factors = outcome(alexander_factors, random_diagram(seed))
+            delta = outcome(centered_product, factors) \
+                if not isinstance(factors, str) else factors
+            if isinstance(delta, str):
+                continue
+            with_delta += 1
+            count = mixed_radix_count(factors)
+            if count is not None:
+                assert count == len(delta), seed
+                certified += 1
+        assert (with_delta, certified) == (194, 182)
+
+    def test_uncertified_supports(self):
+        # (1 + x)^2 has 3 terms, not 4; so does every projection of it
+        x = LaurentPoly({(1, 1): 1, (0, 0): 1})
+        assert mixed_radix_count([x, x]) is None
+        assert len(x * x) == 3
+        # a collision on e1 alone, resolved on e2
+        z = LaurentPoly({(1, 2): 1, (0, 0): 1})
+        assert mixed_radix_count([x, z]) == len(x * z) == 4
 
 
 def factored_hull(d):

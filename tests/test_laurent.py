@@ -6,9 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splicelink.errors import ComputationError
+from splicelink.invariants import alexander_polynomial
 from splicelink.laurent import (LaurentPoly, NotDivisible, OddSpan,
                                 ZeroPolynomial, centered_product, convex_hull,
                                 product_newton_polygon)
+from splicelink.splice import build_k2n
+from test_splice import random_diagram
 
 
 def trinomial(a, b):
@@ -292,3 +296,113 @@ def test_centered_product_is_the_expanded_one(factors):
     assert centering_outcome(centered_product, factors) == \
         centering_outcome(symmetrized_product, factors)
 
+
+
+# ------------------------------------------------ the cached graded-lex order
+# The term order used to be sorted anew by every reader; these oracles are
+# those readers as they were, each with its own full sort.
+
+def oracle_grlex_key(e):
+    return (e[0] + e[1], e[0], e[1])
+
+
+def oracle_sorted_terms(p):
+    return sorted(p.items(), key=lambda t: oracle_grlex_key(t[0]))
+
+
+def oracle_to_json_terms(p):
+    return [[e[0], e[1], str(c)] for e, c in oracle_sorted_terms(p)]
+
+
+def oracle_str(p):
+    if not p:
+        return "0"
+
+    def mono(e1, e2):
+        bits = []
+        if e1:
+            bits.append("t1" if e1 == 1 else "t1^%d" % e1)
+        if e2:
+            bits.append("t2" if e2 == 1 else "t2^%d" % e2)
+        return " ".join(bits)
+
+    pieces = []
+    ordered = sorted(p.items(), key=lambda t: oracle_grlex_key(t[0]),
+                     reverse=True)
+    for (e1, e2), c in ordered:
+        m = mono(e1, e2)
+        if not m:
+            body = str(abs(c))
+        elif abs(c) == 1:
+            body = m
+        else:
+            body = "%d %s" % (abs(c), m)
+        pieces.append(("-" if c < 0 else "+", body))
+    sign, body = pieces[0]
+    text = ("-" if sign == "-" else "") + body
+    for sign, body in pieces[1:]:
+        text += " %s %s" % (sign, body)
+    return text
+
+
+def assert_order_matches_oracles(p):
+    """Every reader of the cached order, read twice, against the oracles;
+    the leading term is read both before and after the order is cached."""
+    terms = oracle_sorted_terms(p)
+    json_terms = oracle_to_json_terms(p)
+    text = oracle_str(p)
+    if p:
+        assert p.leading_term() == terms[-1]
+    for _ in range(2):
+        assert p.sorted_terms() == terms
+        assert p.to_json_terms() == json_terms
+        assert str(p) == text
+        if p:
+            assert p.leading_term() == terms[-1]
+
+
+order_coefficients = st.one_of(
+    st.sampled_from([1, -1]),
+    st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=-10 ** 40, max_value=10 ** 40))
+order_polys = st.one_of(
+    st.dictionaries(st.tuples(exponents, exponents), order_coefficients,
+                    max_size=12),
+    st.dictionaries(st.just((0, 0)), order_coefficients, max_size=1),
+    st.dictionaries(st.tuples(exponents, exponents), order_coefficients,
+                    min_size=1, max_size=1)).map(LaurentPoly)
+
+
+@given(order_polys)
+def test_cached_order_matches_the_full_sorts(p):
+    assert_order_matches_oracles(p)
+
+
+@given(order_polys, order_polys, st.tuples(exponents, exponents),
+       st.integers(min_value=1, max_value=3))
+def test_derived_polynomials_get_their_own_order(p, q, shift, k):
+    # p's order is cached first; nothing derived from p may reuse it
+    p.sorted_terms()
+    q.sorted_terms()
+    for derived in (-p, p.shift(*shift), p * q, q * p,
+                    p.substitute_power(k), p + q):
+        assert derived is p or derived._order is None
+        assert_order_matches_oracles(derived)
+    assert_order_matches_oracles(p)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_cached_order_on_the_chain(n):
+    assert_order_matches_oracles(alexander_polynomial(build_k2n(n)))
+
+
+def test_cached_order_on_random_diagrams():
+    built = 0
+    for seed in range(400):
+        try:
+            delta = alexander_polynomial(random_diagram(seed))
+        except ComputationError:
+            continue
+        assert_order_matches_oracles(delta)
+        built += 1
+    assert built == 194
