@@ -255,10 +255,7 @@ class LaurentPoly:
         """((e1, e2), coeff) at the graded-lex-largest exponent pair."""
         if not self._terms:
             raise ZeroPolynomial("the zero polynomial has no leading term")
-        if self._order is not None:
-            e = self._order[-1]
-        else:
-            e = max(self._terms, key=grlex_key)
+        e = max(self._terms, key=grlex_key)
         return e, self._terms[e]
 
     def __eq__(self, other):
