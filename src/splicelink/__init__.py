@@ -7,7 +7,8 @@ link-surgery 4-manifold -> divisibility and symmetry-orbit lower bounds on
 the number of inequivalent symplectic structures.
 """
 
-from .laurent import LaurentPoly, NotDivisible, OddSpan, ZeroPolynomial
+from .laurent import (LaurentPoly, NotDivisible, OddSpan, TooLarge,
+                      ZeroPolynomial)
 from .splice import (DiagramSyntaxError, Edge, SpliceDiagram, UnknownVertex,
                      ValidationError, Vertex, VertexKind, build_k2n,
                      linking_number, parse_diagram, render_diagram, validate)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields
 from .errors import ComputationError
 from .invariants import (alexander_factors, boundary_slope, is_fibered,
                          thurston_norm)
-from .laurent import (centered_product, mixed_radix_count,
+from .laurent import (LaurentPoly, centered_product, mixed_radix_count,
                       product_newton_polygon)
 from .orbits import face_orbits, lattice_symmetries, min_structure_count
 from .polytope import unit_ball
@@ -42,8 +42,7 @@ from .swtheory import canonical_classes, sw_polynomial
 # One [e1, e2, "coefficient"] term of a report's term arrays, as
 # json.dumps(..., indent=2) lays it out at that depth (a decimal string
 # needs no escaping).
-_TERM_JSON = '    [\n      %d,\n      %d,\n      "%s"\n    ]'
-_TERM_FIELDS = ("alexander", "sw_basic_classes")
+_TERM_JSON = '    [\n      %d,\n      %d,\n      "%d"\n    ]'
 _TERM_BLOCK = 256   # terms per chunk of a streamed term array
 
 
@@ -150,42 +149,50 @@ def _factored_text(factors, power=1):
 class Report:
     """Machine-readable summary of every computed invariant.
 
-    All potentially large integers are decimal strings; polynomial terms
-    are [e1, e2, coefficient-as-decimal-string] triples in ascending
-    graded-lex order.
+    ``alexander`` is the centered Δ.  In the JSON all potentially large
+    integers are decimal strings, and Δ's terms are [e1, e2, coefficient]
+    triples in ascending graded-lex order, written twice: as ``alexander``
+    and, exponents doubled, as ``sw_basic_classes`` (SW = Δ(t1^2, t2^2)).
     """
     diagram: str
     family_n: object
     lk: dict
     rays: list
     faces: list
-    alexander: list
-    sw_basic_classes: list
+    alexander: LaurentPoly
     canonical_classes: list
     orbit_count: int
     homotopy_k3: bool
 
     def json_chunks(self):
-        """The JSON text in pieces, the one source of its bytes: the same
-        bytes as json.dumps(asdict(self), indent=2) and a final newline.
+        """The JSON text in pieces, the one source of its bytes: the fields
+        in order, with ``alexander`` followed by ``sw_basic_classes``, laid
+        out as json.dumps(..., indent=2) lays them out, and a final newline.
 
         json.dumps with an indent runs CPython's pure-Python encoder, so
-        the two term arrays, the bulk of the text, are laid out with one
-        string template, a block of terms per chunk; every other field goes
-        through json.dumps and is indented one level deeper."""
+        the two term arrays, the bulk of the text, are written straight
+        from Δ with one string template, a block of terms per chunk; every
+        other field goes through json.dumps and is indented one level
+        deeper."""
         separator = "{\n"
         for f in fields(self):
             value = getattr(self, f.name)
-            yield "%s  %s: " % (separator, json.dumps(f.name))
-            separator = ",\n"
-            if f.name in _TERM_FIELDS and value:
-                for i in range(0, len(value), _TERM_BLOCK):
-                    yield ("[\n" if i == 0 else ",\n") + ",\n".join(
-                        [_TERM_JSON % (e1, e2, c)
-                         for e1, e2, c in value[i:i + _TERM_BLOCK]])
-                yield "\n  ]"
+            if f.name == "alexander":
+                # t -> t^2 keeps the graded-lex order, so both arrays walk
+                # Δ's one cached order
+                terms = value.sorted_terms()
+                for name, power in (("alexander", 1),
+                                    ("sw_basic_classes", 2)):
+                    yield '%s  "%s": ' % (separator, name)
+                    for i in range(0, len(terms), _TERM_BLOCK):
+                        yield ("[\n" if i == 0 else ",\n") + ",\n".join(
+                            [_TERM_JSON % (power * e1, power * e2, c)
+                             for (e1, e2), c in terms[i:i + _TERM_BLOCK]])
+                    yield "\n  ]" if terms else "[]"
             else:
+                yield "%s  %s: " % (separator, json.dumps(f.name))
                 yield json.dumps(value, indent=2).replace("\n", "\n  ")
+            separator = ",\n"
         yield "\n}\n"
 
     def to_json(self):
@@ -194,7 +201,15 @@ class Report:
 
     @classmethod
     def from_json(cls, text):
-        return cls(**json.loads(text))
+        """The Report that to_json wrote.  Raises ValueError when
+        sw_basic_classes is not alexander's terms with doubled exponents."""
+        data = json.loads(text)
+        alexander = data.pop("alexander")
+        if data.pop("sw_basic_classes") != [[2 * e1, 2 * e2, c]
+                                            for e1, e2, c in alexander]:
+            raise ValueError("sw_basic_classes is not the alexander terms "
+                             "with doubled exponents")
+        return cls(alexander=LaurentPoly.from_json_terms(alexander), **data)
 
 
 def build_report(d, family_n, delta):
@@ -202,10 +217,6 @@ def build_report(d, family_n, delta):
     k1, k2 = d.arrowheads
     lk12 = linking_number(d, k1.id, k2.id)
     ball = unit_ball(d)
-    # The SW polynomial is Δ(t1^2, t2^2): t -> t^2 keeps the graded-lex
-    # order and Δ's leading coefficient is positive, so its terms are
-    # Δ's with the exponents doubled.
-    alexander = delta.to_json_terms()
     canon = canonical_classes(ball)
     orbit_count = face_orbits(ball, lattice_symmetries(ball)).orbit_count
     return Report(
@@ -225,8 +236,7 @@ def build_report(d, family_n, delta):
                 "hi": [str(x) for x in f.ray_hi.primitive],
                 "dual": [str(f.dual[0]), str(f.dual[1])]}
                for f in ball.faces],
-        alexander=alexander,
-        sw_basic_classes=[[2 * e1, 2 * e2, c] for e1, e2, c in alexander],
+        alexander=delta,
         canonical_classes=[{"class": [str(x) for x in c.klass],
                             "divisibility": str(c.divisibility)}
                            for c in canon],
@@ -355,7 +365,8 @@ def cmd_report(args):
                  f["dual"][0], f["dual"][1]))
     print("alexander polynomial: %s"
           % (_factored_text(factors) if family_n else delta))
-    print("sw basic classes: %d" % len(report.sw_basic_classes))
+    # The SW polynomial Δ(t1^2, t2^2) has one basic class per term of Δ.
+    print("sw basic classes: %d" % len(delta))
     print("canonical classes:")
     for c in report.canonical_classes:
         print("  (%s,%s)  divisibility %s"

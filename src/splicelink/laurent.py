@@ -10,6 +10,9 @@ Leading terms, exact division and the canonical term order all use graded
 lexicographic order on (e1, e2).  Like the Newton polygon, the ascending
 term order is computed once per polynomial, on first use, and cached: the
 printed text, the JSON terms and ``sorted_terms`` all read that one sort.
+
+``centered_product`` refuses, with TooLarge, a product that could have
+more than MAX_TERMS terms, before it multiplies anything.
 """
 
 import heapq
@@ -20,6 +23,11 @@ from operator import mul
 
 from .errors import ComputationError
 
+# The most terms centered_product may expand: Π len(factor) bounds the
+# product's term count, so the 12-node chain's Δ (3^12 = 531,441 terms)
+# is expanded and the 14-node chain's (3^14 = 4,782,969) is refused.
+MAX_TERMS = 2 ** 20
+
 
 class NotDivisible(ComputationError):
     """Exact division has no Laurent-polynomial quotient."""
@@ -27,6 +35,10 @@ class NotDivisible(ComputationError):
 
 class ZeroPolynomial(ComputationError):
     """The operation needs a nonzero polynomial."""
+
+
+class TooLarge(ComputationError):
+    """The expanded polynomial could have more than MAX_TERMS terms."""
 
 
 class OddSpan(ComputationError):
@@ -49,7 +61,7 @@ class OddSpan(ComputationError):
         return reduce(mul, self.factors)
 
 
-def grlex_key(e):
+def _grlex_key(e):
     """Graded-lexicographic sort key for an exponent pair: (e1 + e2, e1),
     which fixes e2, so no third entry is needed."""
     return (e[0] + e[1], e[0])
@@ -168,9 +180,15 @@ def centered_product(factors):
     it, with a positive graded-lex-leading coefficient.  That order is
     translation invariant, so LT(fg) = LT(f) LT(g): the factors are
     multiplied onto the monomial carrying both shift and sign, and the
-    product is not scanned again.  Raises OddSpan where symmetrize would."""
+    product is not scanned again.  Raises OddSpan where symmetrize would,
+    and TooLarge, before any multiplication, when Π len(factor), which
+    bounds the product's term count, exceeds MAX_TERMS."""
     sign = (-1) ** sum(f.leading_term()[1] < 0 for f in factors)
     s1, s2 = _center(factors)
+    bound = prod(len(f) for f in factors)
+    if bound > MAX_TERMS:
+        raise TooLarge("the product could have %d terms, more than %d"
+                       % (bound, MAX_TERMS))
     return reduce(mul, factors, LaurentPoly.monomial(-s1, -s2, sign))
 
 
@@ -243,7 +261,7 @@ class LaurentPoly:
         """The exponent pairs in ascending graded-lex order, sorted once and
         cached."""
         if self._order is None:
-            self._order = sorted(self._terms, key=grlex_key)
+            self._order = sorted(self._terms, key=_grlex_key)
         return self._order
 
     def sorted_terms(self):
@@ -255,7 +273,7 @@ class LaurentPoly:
         """((e1, e2), coeff) at the graded-lex-largest exponent pair."""
         if not self._terms:
             raise ZeroPolynomial("the zero polynomial has no leading term")
-        e = max(self._terms, key=grlex_key)
+        e = max(self._terms, key=_grlex_key)
         return e, self._terms[e]
 
     def __eq__(self, other):
@@ -349,7 +367,7 @@ class LaurentPoly:
         sq2 = min(e[1] for e in q._terms)
         rem = {(e[0] - sp1, e[1] - sp2): c for e, c in self._terms.items()}
         qd = {(e[0] - sq1, e[1] - sq2): c for e, c in q._terms.items()}
-        qe = max(qd, key=grlex_key)
+        qe = max(qd, key=_grlex_key)
         qc = qd[qe]
         qrest = [(e, c) for e, c in qd.items() if e != qe]
 

@@ -192,6 +192,40 @@ def test_hull_is_read_off_the_factors_in_bounded_memory():
     assert len(proc.stdout.splitlines()) == 32
 
 
+@pytest.mark.parametrize("n", [7, 50])
+def test_too_large_report_fails_cleanly_in_bounded_memory(n):
+    # Δ of the 2n-node chain has 3^(2n) terms, more than MAX_TERMS from
+    # n = 7 on; the guard reads the bound off the factors.
+    proc = run_in_one_gib(["report", "--family", str(n)])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("laurent.TooLarge: ")
+
+
+@pytest.mark.parametrize("command", ["alex", "sw"])
+def test_factored_commands_run_past_the_term_limit(command):
+    # The family's alex and sw print the factors and count the terms
+    # without expanding Δ (hull: test_hull_is_read_off_the_factors...).
+    proc = run_in_one_gib([command, "--family", "7"])
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_too_large_is_raised_before_any_product(monkeypatch, capsys):
+    real_factors = splicelink.cli.alexander_factors
+
+    def refuse(_self, _other):
+        raise AssertionError("a product was formed before the size check")
+
+    def factors(d):
+        out = real_factors(d)
+        monkeypatch.setattr(LaurentPoly, "__mul__", refuse)
+        return out
+
+    monkeypatch.setattr(splicelink.cli, "alexander_factors", factors)
+    code, out, err = run(["report", "--family", "7"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("laurent.TooLarge: ")
+
+
 @pytest.mark.parametrize("command", ["alex", "hull", "sw", "report"])
 def test_odd_span_is_reported_without_expanding_the_product(
         command, monkeypatch, capsys):
@@ -301,8 +335,22 @@ class TestReport:
 
     @staticmethod
     def assert_json_matches_asdict(report):
+        """to_json against json.dumps of a plain dict built here: asdict
+        for every field but Δ, and both term arrays from a sort of Δ's
+        terms of this test's own."""
+        terms = sorted(report.alexander.items(),
+                       key=lambda t: (t[0][0] + t[0][1], t[0][0], t[0][1]))
+        plain = {}
+        for key, value in asdict(report).items():
+            if key == "alexander":
+                plain["alexander"] = [[e1, e2, str(c)]
+                                      for (e1, e2), c in terms]
+                plain["sw_basic_classes"] = [[2 * e1, 2 * e2, str(c)]
+                                             for (e1, e2), c in terms]
+            else:
+                plain[key] = value
         text = report.to_json()
-        assert text == json.dumps(asdict(report), indent=2) + "\n"
+        assert text == json.dumps(plain, indent=2) + "\n"
         assert Report.from_json(text) == report
 
     @pytest.mark.parametrize("weight,n", [(3, 1), (3, 2), (3, 3), (5, 2),
@@ -326,6 +374,18 @@ class TestReport:
             self.assert_json_matches_asdict(report)
             built += 1
         assert built == 31
+
+    def test_from_json_rejects_mismatched_sw_classes(self):
+        d = build_k2n(1)
+        text = build_report(d, 1, alexander_polynomial(d)).to_json()
+        for mismatch in ([2, 0, "1"], None):
+            data = json.loads(text)
+            if mismatch:
+                data["sw_basic_classes"][0] = mismatch
+            else:
+                del data["sw_basic_classes"][-1]
+            with pytest.raises(ValueError, match="sw_basic_classes"):
+                Report.from_json(json.dumps(data))
 
     def test_text_output(self, capsys):
         code, out, _err = run(["report", "--family", "2"], capsys)
@@ -425,7 +485,7 @@ class TestStreamedReport:
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak <= 3.5 * delta_size
+        assert peak <= 2.0 * delta_size
 
 
 def test_family_sw_counts_without_expanding(monkeypatch, capsys):

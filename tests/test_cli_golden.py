@@ -7,7 +7,11 @@ in `tests/data/tree5.sd`, `{tree56}` the 56-vertex random tree of
 `splicebench/gen.py` `random_tree(7)` in `tests/data/tree56.sd`,
 `{found20}` the 20-node random tree in
 `tests/data/found20.sd`, `{oddspan}` the small tree in
-`tests/data/oddspan.sd` whose Δ cannot be centered, and `{k4}` the file
+`tests/data/oddspan.sd` whose Δ cannot be centered, `{w5}` the 4-node
+chain with weight 5 on every boundary edge from the chain-delta
+benchmark workload (`splicebench/gen.py` `chain(2, 5)`, in
+`tests/data/w5.sd`; it is not the family, so `report` prints its Δ
+expanded), and `{k4}` the file
 written by `gen --n 2`.  A
 change that alters output on purpose updates the table and says so; run
 this file as a script to print the table for the current code:
@@ -30,6 +34,7 @@ TREE = Path(__file__).parent / "data" / "tree5.sd"
 TREE56 = Path(__file__).parent / "data" / "tree56.sd"
 FOUND20 = Path(__file__).parent / "data" / "found20.sd"
 ODDSPAN = Path(__file__).parent / "data" / "oddspan.sd"
+W5 = Path(__file__).parent / "data" / "w5.sd"
 
 EMPTY = "e3b0c44298fc1c14"  # the digest of no output
 
@@ -74,6 +79,10 @@ GOLDEN = [
     ("sw --family 3", 0, "dc340e01bcffc8e4", EMPTY, {}),
     ("report --family 3 --json {tmp}/report.json", 0,
      "cc35c635258f8029", EMPTY, {"report.json": "f64789b7f8f58020"}),
+    ("report --family 4 --json {tmp}/report.json", 0,
+     "8b1dd154d3d2966b", EMPTY, {"report.json": "59c2360d8e875e55"}),
+    ("report {w5} --json {tmp}/report.json", 0,
+     "b24823ca815c1849", EMPTY, {"report.json": "c3a561e3fcde8071"}),
     ("gen --n 2 -o {tmp}/k4.sd", 0,
      EMPTY, EMPTY, {"k4.sd": "5f632a4867e4b041"}),
     ("alex {k4}", 0, "c4e2d5263c255fd0", EMPTY, {}),
@@ -140,6 +149,7 @@ def run_command(command, tmp, k4):
                                       tree56=shlex.quote(str(TREE56)),
                                       found20=shlex.quote(str(FOUND20)),
                                       oddspan=shlex.quote(str(ODDSPAN)),
+                                      w5=shlex.quote(str(W5)),
                                       k4=shlex.quote(str(k4))))
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splicelink import laurent
 from splicelink.errors import ComputationError
 from splicelink.invariants import alexander_polynomial
-from splicelink.laurent import (LaurentPoly, NotDivisible, OddSpan,
+from splicelink.laurent import (LaurentPoly, NotDivisible, OddSpan, TooLarge,
                                 ZeroPolynomial, centered_product, convex_hull,
                                 product_newton_polygon)
 from splicelink.splice import build_k2n
@@ -295,6 +296,17 @@ def test_centered_product_is_the_expanded_one(factors):
     # coefficients and odd spans, which no parsed diagram's factors have
     assert centering_outcome(centered_product, factors) == \
         centering_outcome(symmetrized_product, factors)
+
+
+def test_centered_product_refuses_more_than_max_terms(monkeypatch):
+    # Π len(factor) = 9 bounds the product's terms; here it is exact.
+    trinomial = LaurentPoly({(1, 1): 1, (0, 0): 1, (-1, -1): 1})
+    factors = [trinomial, trinomial.substitute_power(3)]
+    monkeypatch.setattr(laurent, "MAX_TERMS", 9)
+    assert len(centered_product(factors)) == 9
+    monkeypatch.setattr(laurent, "MAX_TERMS", 8)
+    with pytest.raises(TooLarge, match="could have 9 terms, more than 8"):
+        centered_product(factors)
 
 
 
