@@ -195,13 +195,9 @@ class Report:
             separator = ",\n"
         yield "\n}\n"
 
-    def to_json(self):
-        """The whole JSON text, json_chunks joined."""
-        return "".join(self.json_chunks())
-
     @classmethod
     def from_json(cls, text):
-        """The Report that to_json wrote.  Raises ValueError when
+        """The Report that json_chunks wrote.  Raises ValueError when
         sw_basic_classes is not alexander's terms with doubled exponents."""
         data = json.loads(text)
         alexander = data.pop("alexander")

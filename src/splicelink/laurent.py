@@ -9,7 +9,7 @@ threads.
 Leading terms, exact division and the canonical term order all use graded
 lexicographic order on (e1, e2).  Like the Newton polygon, the ascending
 term order is computed once per polynomial, on first use, and cached: the
-printed text, the JSON terms and ``sorted_terms`` all read that one sort.
+printed text and ``sorted_terms`` both read that one sort.
 
 ``centered_product`` refuses, with TooLarge, a product that could have
 more than MAX_TERMS terms, before it multiplies anything.
@@ -432,16 +432,6 @@ class LaurentPoly:
         s1, s2 = _center([self])
         return self.shift(-s1, -s2), (s1, s2)
 
-    def invert_variables(self):
-        """Substitute t1 -> 1/t1 and t2 -> 1/t2."""
-        return LaurentPoly._raw(
-            {(-e[0], -e[1]): c for e, c in self._terms.items()})
-
-    def swap_variables(self):
-        """Exchange t1 and t2."""
-        return LaurentPoly._raw(
-            {(e[1], e[0]): c for e, c in self._terms.items()})
-
     def evaluate(self, a, b):
         """Exact value at nonzero rationals (a, b), as a Fraction."""
         a = Fraction(a)
@@ -465,12 +455,6 @@ class LaurentPoly:
         return list(self._hull)
 
     # ---------------------------------------------------------- serialization
-
-    def to_json_terms(self):
-        """JSON form: [e1, e2, coefficient-as-decimal-string] triples,
-        ascending graded-lex."""
-        terms = self._terms
-        return [[e[0], e[1], str(terms[e])] for e in self._sorted_keys()]
 
     @classmethod
     def from_json_terms(cls, triples):

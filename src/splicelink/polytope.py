@@ -11,10 +11,9 @@ m -> <S_F, m> of the integer face class
     S_F = sum over v of (degree(v) - 2) * sign_F(form_v) * form_v.
 
 `unit_ball` reads the whole ball off these classes in one angular sweep:
-each ray's norm is <S_F, r> for a face F containing r, and each face's
-dual vertex, the point pairing to half the norm with both of its rays, is
-S_F / 2, kept as a pair of Fractions (integrality is checked where it
-matters rather than assumed).
+each ray's norm is <S_F, r> for a face F containing r.  S_F is what a
+face stores, as two ints; its dual vertex, the point pairing to half the
+norm with both of its rays, is S_F / 2, derived only where it is printed.
 """
 
 from dataclasses import dataclass
@@ -41,10 +40,16 @@ class NonIntegerDual(ComputationError):
 @dataclass(frozen=True)
 class FibredFace:
     """A top-dimensional face of the unit ball, between two adjacent rays,
-    together with the dual vertex supporting it."""
+    with its integer class S_F (``klass``), twice the dual vertex."""
     ray_lo: Ray
     ray_hi: Ray
-    dual: tuple
+    klass: tuple
+
+    @property
+    def dual(self):
+        """The dual vertex S_F / 2, as a pair of Fractions."""
+        x, y = self.klass
+        return (Fraction(x, 2), Fraction(y, 2))
 
 
 @dataclass(frozen=True)
@@ -90,8 +95,8 @@ def unit_ball(d):
     once, at the sum of its two rays, an interior point; crossing ray r
     flips the sign of the forms on r's kernel line only, so S_F moves by
     -2 * (degree - 2) * s * form for each of them, s the form's sign on
-    the ray before r.  Each ray's norm is <S_F, r> and each dual vertex
-    S_F / 2, so the sweep costs O(vertices + rays).
+    the ray before r.  Each ray's norm is <S_F, r> and each face keeps
+    S_F, so the sweep costs O(vertices + rays).
 
     Raises DegenerateForm when there is no ray, or when a ray has zero
     norm (the ball is unbounded), naming the first such ray in
@@ -133,9 +138,8 @@ def unit_ball(d):
             raise DegenerateForm("ray %s has zero norm, the unit ball is "
                                  "unbounded" % (p,))
     rays = [Ray(p, norms[p]) for p in signed]
-    faces = tuple(FibredFace(lo, rays[(i + 1) % len(rays)],
-                             (Fraction(sx, 2), Fraction(sy, 2)))
-                  for i, (lo, (sx, sy)) in enumerate(zip(rays, classes)))
+    faces = tuple(FibredFace(lo, rays[(i + 1) % len(rays)], klass)
+                  for i, (lo, klass) in enumerate(zip(rays, classes)))
     return NormBall(tuple(rays), faces)
 
 
@@ -160,20 +164,21 @@ def divisibility(v):
 
 
 def check_duality(ball, hull):
-    """True iff the dual vertices of the ball and the given hull vertices
-    coincide as sets of lattice points, one face per vertex.
+    """True iff the dual vertices S_F / 2 of the ball and the given hull
+    vertices coincide as sets of lattice points, one face per vertex.
 
-    Raises NonIntegerDual when some dual vertex is not integral.
+    Raises NonIntegerDual when some dual vertex is not integral, that is
+    when a coordinate of some S_F is odd.
     """
     if not ball.faces or not hull:
         raise ValueError("need a nonempty ball and a nonempty hull")
     duals = set()
     for f in ball.faces:
-        x, y = f.dual
-        if x.denominator != 1 or y.denominator != 1:
+        x, y = f.klass
+        if x % 2 or y % 2:
             raise NonIntegerDual("dual vertex (%s, %s) is not a lattice point"
-                                 % (x, y))
-        duals.add((int(x), int(y)))
+                                 % f.dual)
+        duals.add((x // 2, y // 2))
     if len(duals) != len(ball.faces):
         return False
     return duals == {(int(p[0]), int(p[1])) for p in hull}

@@ -5,14 +5,14 @@ The Seiberg-Witten polynomial of the manifold built from two rational
 elliptic pieces and the circle times the link exterior is, up to sign, the
 symmetrized Alexander polynomial with both variables squared.  Its support
 gives the basic classes; the induced norm on the relevant rank-2 slice is
-the maximal pairing with a basic class; canonical classes of the fibered
-faces are twice the dual vertices of the norm ball.
+the maximal pairing with a basic class; the canonical class of a fibered
+face is its integer class S_F, twice its dual vertex in the norm ball.
 """
 
 from dataclasses import dataclass
 
 from .laurent import ZeroPolynomial, convex_hull, product_newton_polygon
-from .polytope import NonIntegerDual, divisibility
+from .polytope import divisibility
 from .invariants import alexander_factors
 from .splice import linking_number
 
@@ -44,8 +44,8 @@ class BasicClassSet:
 
 @dataclass(frozen=True)
 class CanonicalClass:
-    """Canonical class attached to a fibered face: twice its dual vertex,
-    oriented to pair positively with the face's own cone."""
+    """Canonical class attached to a fibered face: its class S_F, twice
+    its dual vertex, which pairs positively with the face's own cone."""
     face: object
     klass: tuple
     divisibility: int
@@ -94,16 +94,8 @@ def homotopy_k3_check(d):
 
 
 def canonical_classes(ball):
-    """One canonical class per fibered face: twice the dual vertex, which
-    must be a lattice point (NonIntegerDual otherwise), with its
-    divisibility.  Twice the dual vertex already pairs positively with the
-    face's open cone, since ray norms are positive."""
-    out = []
-    for f in ball.faces:
-        x, y = 2 * f.dual[0], 2 * f.dual[1]
-        if x.denominator != 1 or y.denominator != 1:
-            raise NonIntegerDual("doubled dual vertex (%s, %s) is not a "
-                                 "lattice point" % (f.dual[0], f.dual[1]))
-        k = (int(x), int(y))
-        out.append(CanonicalClass(f, k, divisibility(k)))
-    return out
+    """One canonical class per fibered face, the face's integer class S_F,
+    with its divisibility.  S_F already pairs positively with the face's
+    open cone, since ray norms are positive."""
+    return [CanonicalClass(f, f.klass, divisibility(f.klass))
+            for f in ball.faces]

@@ -125,8 +125,9 @@ def test_criterion_06_alexander_structure():
         for i in range(1, 2 * n + 1):
             product = product * trinomial(3 ** (i - 1), 3 ** (2 * n - i))
         assert delta == product
-        assert delta.swap_variables() == delta
-        assert delta.invert_variables() == delta
+        for (e1, e2), c in delta.items():
+            assert delta.coefficient(e2, e1) == c
+            assert delta.coefficient(-e1, -e2) == c
         assert delta.evaluate(1, 1) == 3 ** (2 * n)
     _passed(6, "Alexander polynomial structure for n <= 5",
             time.monotonic() - start)

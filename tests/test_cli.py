@@ -18,7 +18,6 @@ from splicelink.laurent import LaurentPoly, centered_product
 from splicelink.polytope import NormBall, unit_ball
 from splicelink.splice import build_k2n, parse_diagram, render_diagram
 from splicelink.svg import ball_svg, hull_svg
-from test_cli_golden import GOLDEN, run_command
 from test_splice import random_diagram
 
 
@@ -335,9 +334,9 @@ class TestReport:
 
     @staticmethod
     def assert_json_matches_asdict(report):
-        """to_json against json.dumps of a plain dict built here: asdict
-        for every field but Δ, and both term arrays from a sort of Δ's
-        terms of this test's own."""
+        """The joined JSON chunks against json.dumps of a plain dict built
+        here: asdict for every field but Δ, and both term arrays from a
+        sort of Δ's terms of this test's own."""
         terms = sorted(report.alexander.items(),
                        key=lambda t: (t[0][0] + t[0][1], t[0][0], t[0][1]))
         plain = {}
@@ -349,7 +348,7 @@ class TestReport:
                                              for (e1, e2), c in terms]
             else:
                 plain[key] = value
-        text = report.to_json()
+        text = "".join(report.json_chunks())
         assert text == json.dumps(plain, indent=2) + "\n"
         assert Report.from_json(text) == report
 
@@ -377,7 +376,8 @@ class TestReport:
 
     def test_from_json_rejects_mismatched_sw_classes(self):
         d = build_k2n(1)
-        text = build_report(d, 1, alexander_polynomial(d)).to_json()
+        text = "".join(build_report(d, 1, alexander_polynomial(d))
+                       .json_chunks())
         for mismatch in ([2, 0, "1"], None):
             data = json.loads(text)
             if mismatch:
@@ -396,18 +396,6 @@ class TestReport:
 
 class TestStreamedReport:
     """The report JSON goes to its file in chunks, never as one string."""
-
-    def test_written_without_to_json(self, tmp_path, monkeypatch):
-        def whole_string(_report):
-            raise AssertionError("the CLI built the whole JSON string")
-
-        monkeypatch.setattr(Report, "to_json", whole_string)
-        k4 = tmp_path / "k4.sd"
-        k4.write_text(render_diagram(build_k2n(2)))
-        for command in ("report --family 3 --json {tmp}/report.json",
-                        "report {k4} --json {tmp}/report.json"):
-            row = next(r for r in GOLDEN if r[0] == command)
-            assert run_command(command, tmp_path, k4) == row
 
     @staticmethod
     def recorded_writes(argv, monkeypatch, capsys):

@@ -103,6 +103,10 @@ GOLDEN = [
     # of all of this tree's node binomials runs out of memory.
     ("alex {found20}", 2, EMPTY, "5c0c2f7480f849d1", {}),
     ("hull {found20}", 2, EMPTY, "5c0c2f7480f849d1", {}),
+    # Its ball exists all the same, and all ten of its duals are
+    # half-integral, as are {tree}'s.
+    ("ball {found20}", 0, "2267572ce418908c", EMPTY, {}),
+    ("orbits {found20}", 0, "f0b5c2c2211c8d67", EMPTY, {}),
     # The error paths of the commands that print Δ's hull or its size:
     # NotDivisible on {tree}, OddSpan on {oddspan}.
     ("hull {tree}", 2, EMPTY, "5c0c2f7480f849d1", {}),

@@ -193,15 +193,13 @@ class TestNewtonPolygon:
 class TestSerialization:
     def test_round_trip(self):
         p = trinomial(1, 3) * trinomial(3, 1) - 4
-        triples = p.to_json_terms()
+        triples = [[e1, e2, str(c)] for (e1, e2), c in p.sorted_terms()]
         assert LaurentPoly.from_json_terms(triples) == p
-        assert all(isinstance(c, str) for _e1, _e2, c in triples)
 
     def test_sorted_graded_lex(self):
         # grade first, then e1: (1,1) precedes (2,0)
         p = LaurentPoly({(2, 0): 1, (0, 1): 1, (1, 1): 1})
-        assert [tuple(t[:2]) for t in p.to_json_terms()] == \
-            [(0, 1), (1, 1), (2, 0)]
+        assert [e for e, _c in p.sorted_terms()] == [(0, 1), (1, 1), (2, 0)]
 
 
 class TestStr:
@@ -245,12 +243,13 @@ def test_polygon_scales_with_power(p, k):
 def test_symmetrize_centers_mirrored_supports(p, shift):
     # a polynomial whose support and coefficients mirror through the
     # origin stays inversion invariant after centering any translate
-    q = p + p.invert_variables()
+    q = p + LaurentPoly({(-e1, -e2): c for (e1, e2), c in p.items()})
     if not q:
         return
     moved = q.shift(shift[0], shift[1])
     centered, used = moved.symmetrize()
-    assert centered.invert_variables() == centered
+    for (e1, e2), c in centered.items():
+        assert centered.coefficient(-e1, -e2) == c
     assert centered.shift(used[0], used[1]) == moved
 
 
@@ -322,10 +321,6 @@ def oracle_sorted_terms(p):
     return sorted(p.items(), key=lambda t: oracle_grlex_key(t[0]))
 
 
-def oracle_to_json_terms(p):
-    return [[e[0], e[1], str(c)] for e, c in oracle_sorted_terms(p)]
-
-
 def oracle_str(p):
     if not p:
         return "0"
@@ -361,13 +356,11 @@ def assert_order_matches_oracles(p):
     """Every reader of the cached order, read twice, against the oracles,
     and the leading term against the oracle's last term."""
     terms = oracle_sorted_terms(p)
-    json_terms = oracle_to_json_terms(p)
     text = oracle_str(p)
     if p:
         assert p.leading_term() == terms[-1]
     for _ in range(2):
         assert p.sorted_terms() == terms
-        assert p.to_json_terms() == json_terms
         assert str(p) == text
 
 

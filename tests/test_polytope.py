@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from test_splice import random_diagram
@@ -11,7 +12,11 @@ from splicelink.polytope import (FibredFace, NonIntegerDual, NormBall,
                                  SingularSystem, ZeroVector, alexander_norm,
                                  check_duality, divisibility, dual_vertex,
                                  unit_ball)
-from splicelink.splice import build_k2n
+from splicelink.orbits import face_orbits, lattice_symmetries
+from splicelink.splice import build_k2n, parse_diagram
+from splicelink.swtheory import canonical_classes
+
+DATA = Path(__file__).parent / "data"
 
 K4_DUALS = [(14, -38), (32, -32), (38, -14), (40, 40),
             (-14, 38), (-32, 32), (-38, 14), (-40, -40)]
@@ -93,8 +98,9 @@ class TestUnitBall:
 
 def ray_by_ray_ball(d):
     """Oracle: the ball built ray by ray, each norm a full thurston_norm
-    (nonfibered_rays), each dual vertex solved from its face's two rays
-    (dual_vertex), the signed rays ordered from nonfibered_rays' order."""
+    (nonfibered_rays), each face class twice the dual vertex solved from
+    its face's two rays (dual_vertex), the signed rays ordered from
+    nonfibered_rays' order."""
     base = nonfibered_rays(d)
     if not base:
         raise DegenerateForm("diagram has no non-fibered rays")
@@ -109,9 +115,8 @@ def ray_by_ray_ball(d):
     faces = []
     for i, lo in enumerate(signed):
         hi = signed[(i + 1) % len(signed)]
-        faces.append(FibredFace(lo, hi,
-                                dual_vertex(lo.primitive, lo.norm,
-                                            hi.primitive, hi.norm)))
+        x, y = dual_vertex(lo.primitive, lo.norm, hi.primitive, hi.norm)
+        faces.append(FibredFace(lo, hi, (2 * x, 2 * y)))
     return NormBall(tuple(signed), tuple(faces))
 
 
@@ -155,6 +160,34 @@ class TestSweepAgainstRayByRay:
                              (polytope, "dual_vertex")]:
             monkeypatch.setattr(module, name, forbidden)
         assert unit_ball(build_k2n(200)) == expected
+
+
+class TestIntegerClasses:
+    """Each face stores S_F as two ints; only `dual` builds Fractions."""
+
+    @pytest.mark.parametrize("name,orbits", [("chain50", 51), ("tree56", 4)])
+    def test_class_path_builds_no_fraction(self, name, orbits, monkeypatch):
+        d = build_k2n(50) if name == "chain50" else \
+            parse_diagram((DATA / "tree56.sd").read_text())
+        hull = [f.dual for f in ray_by_ray_ball(d).faces]
+
+        def forbidden(*_args):
+            raise AssertionError("a Fraction was built")
+
+        monkeypatch.setattr(polytope, "Fraction", forbidden)
+        ball = unit_ball(d)
+        assert [c.klass for c in canonical_classes(ball)] == \
+            [f.klass for f in ball.faces]
+        assert face_orbits(ball, lattice_symmetries(ball)).orbit_count == \
+            orbits
+        assert check_duality(ball, hull)
+
+    def test_half_integral_duals(self):
+        faces = unit_ball(parse_diagram((DATA / "tree5.sd").read_text())).faces
+        assert all(x % 2 and y % 2 for x, y in (f.klass for f in faces))
+        for f in faces:
+            x, y = f.klass
+            assert f.dual == (Fraction(x, 2), Fraction(y, 2))
 
 
 class TestAlexanderNorm:
@@ -216,9 +249,9 @@ class TestCheckDuality:
     def test_non_integer_dual(self):
         lo = Ray((1, 0), 1)
         hi = Ray((0, 1), 1)
-        face = FibredFace(lo, hi, (Fraction(1, 2), Fraction(1, 2)))
+        face = FibredFace(lo, hi, (1, 1))
         ball = NormBall((lo, hi), (face,))
-        with pytest.raises(NonIntegerDual):
+        with pytest.raises(NonIntegerDual, match=r"\(1/2, 1/2\)"):
             check_duality(ball, [(0, 0)])
 
     def test_empty_rejected(self, k2, delta_k2):

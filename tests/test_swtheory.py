@@ -2,17 +2,23 @@ import os
 import resource
 import subprocess
 import sys
-from fractions import Fraction
+from itertools import combinations
+from math import gcd
 from pathlib import Path
 
 import pytest
+from test_splice import random_diagram
 
 import splicelink
-from splicelink.invariants import Ray, alexander_polynomial, thurston_norm
-from splicelink.laurent import LaurentPoly, ZeroPolynomial
-from splicelink.polytope import (FibredFace, NonIntegerDual, NormBall,
-                                 alexander_norm, unit_ball)
-from splicelink.splice import build_k2n
+from splicelink.errors import ComputationError
+from splicelink.invariants import (alexander_factors, alexander_polynomial,
+                                   thurston_norm)
+from splicelink.laurent import (LaurentPoly, OddSpan, ZeroPolynomial,
+                                product_newton_polygon)
+from splicelink.orbits import (face_orbits, lattice_symmetries,
+                               min_structure_count)
+from splicelink.polytope import alexander_norm, unit_ball
+from splicelink.splice import build_k2n, linking_number
 from splicelink.swtheory import (BasicClassSet, basic_classes,
                                  canonical_classes, homotopy_k3_check,
                                  sw_norm, sw_polynomial)
@@ -133,6 +139,32 @@ class TestHomotopyK3:
                               capture_output=True, text=True, timeout=120)
         assert (proc.returncode, proc.stderr) == (0, "")
 
+    def test_torres_parity_on_coprime_diagrams(self):
+        # Torres: Δ's span in each t_i has the parity of lk + 1, so on
+        # diagrams with pairwise coprime weights at every node, as graph
+        # links in homology spheres have, OddSpan means an even lk and
+        # NotDivisible never happens.
+        tally = {}
+        for seed in range(2000):
+            d = random_diagram(seed)
+            if not all(gcd(a, b) == 1
+                       for node in d.nodes
+                       for a, b in combinations(
+                           [e.weight_a if e.a == node.id else e.weight_b
+                            for e in d.edges if node.id in (e.a, e.b)], 2)):
+                continue
+            k1, k2 = d.arrowheads
+            odd = linking_number(d, k1.id, k2.id) % 2 == 1
+            try:
+                product_newton_polygon(alexander_factors(d))
+                outcome = "delta"
+            except OddSpan:
+                outcome = "OddSpan"
+            assert outcome == ("delta" if odd else "OddSpan")
+            assert homotopy_k3_check(d) == odd
+            tally[outcome] = tally.get(outcome, 0) + 1
+        assert tally == {"delta": 98, "OddSpan": 29}
+
     def test_all_classes_even(self, delta_k2):
         sw = sw_polynomial(delta_k2)
         assert all(e1 % 2 == 0 and e2 % 2 == 0 for e1, e2 in sw.support())
@@ -175,12 +207,31 @@ class TestCanonicalClasses:
                    c.face.ray_lo.primitive[1] + c.face.ray_hi.primitive[1])
             assert c.klass[0] * mid[0] + c.klass[1] * mid[1] > 0
 
-    def test_non_integer_dual(self):
-        lo = Ray((1, 0), 1)
-        hi = Ray((0, 1), 1)
-        face = FibredFace(lo, hi, (Fraction(1, 4), Fraction(1, 4)))
-        with pytest.raises(NonIntegerDual):
-            canonical_classes(NormBall((lo, hi), (face,)))
+
+    @staticmethod
+    def divisibility_count(ball):
+        return len({c.divisibility for c in canonical_classes(ball)})
+
+    def test_divisibilities_bound_the_chain_orbits(self):
+        # divisibility is constant on face orbits, so the number of
+        # distinct divisibilities is a second, weaker lower bound
+        counts = [(self.divisibility_count(unit_ball(build_k2n(n))),
+                   min_structure_count(build_k2n(n))) for n in range(1, 6)]
+        assert counts == [(2, 2), (3, 3), (4, 4), (4, 5), (4, 6)]
+
+    def test_divisibilities_bound_the_random_orbits(self):
+        balls = strict = 0
+        for seed in range(2000):
+            try:
+                ball = unit_ball(random_diagram(seed))
+            except ComputationError:
+                continue
+            bound = self.divisibility_count(ball)
+            orbits = face_orbits(ball, lattice_symmetries(ball)).orbit_count
+            assert bound <= orbits
+            balls += 1
+            strict += bound < orbits
+        assert (balls, strict) == (741, 656)
 
 
 class TestBasicClassSetValidation:
