@@ -105,6 +105,16 @@ class TestSwNorm:
                 assert tn == sw_norm(bcs, (m1, m2))
 
 
+def coprime_at_every_node(d):
+    """True iff the edge weights at each node are pairwise coprime."""
+    for node in d.nodes:
+        weights = [e.weight_a if e.a == node.id else e.weight_b
+                   for e in d.edges if node.id in (e.a, e.b)]
+        if any(gcd(a, b) != 1 for a, b in combinations(weights, 2)):
+            return False
+    return True
+
+
 class TestHomotopyK3:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_family(self, n):
@@ -147,11 +157,7 @@ class TestHomotopyK3:
         tally = {}
         for seed in range(2000):
             d = random_diagram(seed)
-            if not all(gcd(a, b) == 1
-                       for node in d.nodes
-                       for a, b in combinations(
-                           [e.weight_a if e.a == node.id else e.weight_b
-                            for e in d.edges if node.id in (e.a, e.b)], 2)):
+            if not coprime_at_every_node(d):
                 continue
             k1, k2 = d.arrowheads
             odd = linking_number(d, k1.id, k2.id) % 2 == 1
