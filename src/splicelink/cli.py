@@ -34,8 +34,7 @@ from .laurent import (LaurentPoly, centered_product, mixed_radix_count,
                       product_newton_polygon)
 from .orbits import face_orbits, lattice_symmetries, min_structure_count
 from .polytope import unit_ball
-from .splice import (SpliceDiagram, VertexKind, build_k2n, linking_number,
-                     parse_diagram, render_diagram)
+from .splice import build_k2n, linking_number, parse_diagram, render_diagram
 from .svg import ball_svg, hull_svg
 from .swtheory import canonical_classes, sw_polynomial
 
@@ -194,18 +193,6 @@ class Report:
                 yield json.dumps(value, indent=2).replace("\n", "\n  ")
             separator = ",\n"
         yield "\n}\n"
-
-    @classmethod
-    def from_json(cls, text):
-        """The Report that json_chunks wrote.  Raises ValueError when
-        sw_basic_classes is not alexander's terms with doubled exponents."""
-        data = json.loads(text)
-        alexander = data.pop("alexander")
-        if data.pop("sw_basic_classes") != [[2 * e1, 2 * e2, c]
-                                            for e1, e2, c in alexander]:
-            raise ValueError("sw_basic_classes is not the alexander terms "
-                             "with doubled exponents")
-        return cls(alexander=LaurentPoly.from_json_terms(alexander), **data)
 
 
 def build_report(d, family_n, delta):

@@ -283,9 +283,6 @@ class LaurentPoly:
             return NotImplemented
         return self._terms == other._terms
 
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
     # ------------------------------------------------------------- arithmetic
 
     @staticmethod
@@ -298,33 +295,6 @@ class LaurentPoly:
 
     def __neg__(self):
         return LaurentPoly._raw({e: -c for e, c in self._terms.items()})
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return LaurentPoly._raw(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -453,12 +423,6 @@ class LaurentPoly:
         if self._hull is None:
             self._hull = convex_hull(self._terms.keys())
         return list(self._hull)
-
-    # ---------------------------------------------------------- serialization
-
-    @classmethod
-    def from_json_terms(cls, triples):
-        return cls({(int(a), int(b)): int(c) for a, b, c in triples})
 
     # --------------------------------------------------------------- printing
 

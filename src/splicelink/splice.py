@@ -156,10 +156,6 @@ class SpliceDiagram:
     def nodes(self):
         return [v for v in self.vertices if v.kind is VertexKind.NODE]
 
-    @property
-    def boundary_vertices(self):
-        return [v for v in self.vertices if v.kind is VertexKind.BOUNDARY]
-
     def path(self, start, goal):
         """Vertex ids along the unique tree path, endpoints included.
         Raises ValidationError when no path joins them."""

@@ -83,6 +83,12 @@ GOLDEN = [
      "8b1dd154d3d2966b", EMPTY, {"report.json": "59c2360d8e875e55"}),
     ("report {w5} --json {tmp}/report.json", 0,
      "b24823ca815c1849", EMPTY, {"report.json": "c3a561e3fcde8071"}),
+    # The Δ commands off the family: Δ expanded, and `sw` printing the
+    # SW polynomial and its term count.
+    ("alex {w5}", 0, "92d41056198b7575", EMPTY, {}),
+    ("hull {w5} --svg {tmp}/hull.svg", 0,
+     "05ffc7a93d243d26", EMPTY, {"hull.svg": "0cbd2f9ee9d2493c"}),
+    ("sw {w5}", 0, "4a49d46e8515f831", EMPTY, {}),
     ("gen --n 2 -o {tmp}/k4.sd", 0,
      EMPTY, EMPTY, {"k4.sd": "5f632a4867e4b041"}),
     ("alex {k4}", 0, "c4e2d5263c255fd0", EMPTY, {}),

@@ -1,4 +1,5 @@
-"""The package imports nothing outside the standard library."""
+"""The package imports nothing outside the standard library, and every
+name a module imports is used in it."""
 
 import ast
 import sys
@@ -25,6 +26,29 @@ def test_imports_are_stdlib_or_own():
         for root in imported_roots(path):
             assert root is None or root == "splicelink" \
                 or root in sys.stdlib_module_names, (path.name, root)
+
+
+def unused_imports(path):
+    """Names bound by an import in a module that occur nowhere in it as a
+    name (the base of an attribute access is a name too)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound.add(alias.asname or alias.name.split(".")[0])
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - used)
+
+
+def test_every_imported_name_is_used():
+    # __init__.py imports to re-export
+    modules = [path
+               for path in sorted((ROOT / "src" / "splicelink").glob("*.py"))
+               if path.name != "__init__.py"]
+    assert modules
+    for path in modules:
+        assert unused_imports(path) == [], path.name
 
 
 def test_no_runtime_dependencies_are_declared():

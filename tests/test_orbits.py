@@ -12,7 +12,7 @@ from splicelink.orbits import (LatticeMap, NotAGroup, OrbitPartition,
                                _require_group, face_orbits,
                                lattice_symmetries, min_structure_count)
 from splicelink.polytope import NormBall, unit_ball
-from splicelink.splice import build_k2n
+from splicelink.splice import Edge, SpliceDiagram, Vertex, build_k2n
 from splicelink.swtheory import canonical_classes
 
 IDENTITY = LatticeMap(1, 0, 0, 1)
@@ -308,3 +308,47 @@ class TestMinStructureCount:
     @pytest.mark.parametrize("n,expected", [(1, 2), (2, 3), (4, 5)])
     def test_family_bound(self, n, expected):
         assert min_structure_count(build_k2n(n)) == expected
+
+    def test_invariant_under_relabeling(self):
+        """The count, or the error type, of each diagram equals that of the
+        diagram with its arrowheads' declaration order swapped and that of
+        the diagram with its ids permuted."""
+        cases = ([build_k2n(n) for n in range(1, 13)]
+                 + [random_diagram(seed) for seed in range(400)])
+        tally = {"count": 0, "error": 0}
+        for seed, d in enumerate(cases):
+            swapped = _swap_arrowheads(d)
+            assert swapped.arrowheads == d.arrowheads[::-1]
+            outcomes = [_count_or_error(x)
+                        for x in (d, swapped, _rename_ids(d, seed))]
+            assert outcomes[1] == outcomes[0], d.name
+            assert outcomes[2] == outcomes[0], d.name
+            tally["error" if isinstance(outcomes[0], type) else "count"] += 1
+        assert tally == {"count": 166, "error": 246}
+
+
+def _count_or_error(d):
+    try:
+        return min_structure_count(d)
+    except ComputationError as exc:
+        return type(exc)
+
+
+def _swap_arrowheads(d):
+    """d with its two arrowheads' places in the vertex list exchanged, so
+    that K1 and K2 trade roles."""
+    i, j = [k for k, v in enumerate(d.vertices) if v in d.arrowheads]
+    vertices = list(d.vertices)
+    vertices[i], vertices[j] = vertices[j], vertices[i]
+    return SpliceDiagram(d.name, vertices, d.edges)
+
+
+def _rename_ids(d, seed):
+    """d with its vertex ids permuted at random among themselves."""
+    ids = [v.id for v in d.vertices]
+    shuffled = list(ids)
+    random.Random(seed).shuffle(shuffled)
+    new = dict(zip(ids, shuffled))
+    return SpliceDiagram(
+        d.name, [Vertex(new[v.id], v.kind) for v in d.vertices],
+        [Edge(new[e.a], new[e.b], e.weight_a, e.weight_b) for e in d.edges])

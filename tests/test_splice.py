@@ -32,7 +32,7 @@ class TestParse:
         d = parse_diagram(K2_TEXT)
         assert d.name == "K2"
         assert len(d.nodes) == 2
-        assert len(d.boundary_vertices) == 2
+        assert sum(v.kind is VertexKind.BOUNDARY for v in d.vertices) == 2
         assert len(d.arrowheads) == 2
         assert d.arrowheads[0].id == "K1"
         assert linking_number(d, "K1", "K2") == 9
@@ -93,7 +93,7 @@ class TestBuildFamily:
     def test_counts_for_n3(self):
         d = build_k2n(3)
         assert len(d.nodes) == 6
-        assert len(d.boundary_vertices) == 6
+        assert sum(v.kind is VertexKind.BOUNDARY for v in d.vertices) == 6
         assert len(d.arrowheads) == 2
         assert len(d.edges) == 13
 
