@@ -96,10 +96,6 @@ def _write_chunks(path, chunks):
         raise IoError(str(exc)) from exc
 
 
-def _write_text(path, text):
-    _write_chunks(path, (text,))
-
-
 def recognize_family(d):
     """The family parameter n when the diagram is structurally the
     generated 2n-node chain (same vertex ids, kinds and weighted edges),
@@ -231,7 +227,7 @@ def build_report(d, family_n, delta):
 # ------------------------------------------------------------------- commands
 
 def cmd_gen(args):
-    _write_text(args.output, render_diagram(build_k2n(args.n)))
+    _write_chunks(args.output, (render_diagram(build_k2n(args.n)),))
     return 0
 
 
@@ -287,7 +283,7 @@ def cmd_ball(args):
                  f.ray_hi.primitive[0], f.ray_hi.primitive[1],
                  f.dual[0], f.dual[1]))
     if args.svg:
-        _write_text(args.svg, ball_svg(ball, log_scale=args.log_scale))
+        _write_chunks(args.svg, ball_svg(ball, log_scale=args.log_scale))
     return 0
 
 
@@ -297,7 +293,7 @@ def cmd_hull(args):
     for e1, e2 in hull:
         print("vertex (%d,%d)" % (e1, e2))
     if args.svg:
-        _write_text(args.svg, hull_svg(hull))
+        _write_chunks(args.svg, hull_svg(hull))
     return 0
 
 

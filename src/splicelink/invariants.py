@@ -37,14 +37,14 @@ class ZeroSlope(ComputationError):
     """The boundary slope vanishes."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ray:
     """A primitive lattice direction together with its norm."""
     primitive: tuple
     norm: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundarySlope:
     """The cable curve cut out on one boundary torus by a fibration class.
 

@@ -25,7 +25,7 @@ class NotAGroup(ComputationError):
     """The supplied maps are not closed under composition and inverse."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LatticeMap:
     """A 2x2 integer matrix (a, b; c, d) of determinant +-1."""
     a: int
@@ -59,7 +59,7 @@ class LatticeMap:
                           -self.c * det, self.a * det)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrbitPartition:
     """Face index -> orbit label, labels numbered in face order."""
     face_labels: dict

@@ -37,7 +37,7 @@ class NonIntegerDual(ComputationError):
     """A dual vertex is not a lattice point."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FibredFace:
     """A top-dimensional face of the unit ball, between two adjacent rays,
     with its integer class S_F (``klass``), twice the dual vertex."""
@@ -52,7 +52,7 @@ class FibredFace:
         return (Fraction(x, 2), Fraction(y, 2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormBall:
     """The unit ball of the norm: all signed rays in cyclic order and one
     fibered face per adjacent pair.  Centrally symmetric by construction."""

@@ -63,13 +63,13 @@ class VertexKind(Enum):
 _KINDS = {kind.value: kind for kind in VertexKind}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vertex:
     id: str
     kind: VertexKind
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     a: str
     b: str
@@ -314,6 +314,7 @@ def parse_diagram(text):
     name = None
     vertices = []
     edges = []
+    ids = {}    # declared id -> its string, shared by the edges that end there
     last_line = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
         last_line = lineno
@@ -333,7 +334,8 @@ def parse_diagram(text):
         elif kw in _KINDS:
             if len(parts) != 2:
                 raise DiagramSyntaxError(lineno, "usage: %s <id>" % kw)
-            vertices.append(Vertex(parts[1], _KINDS[kw]))
+            vertices.append(Vertex(ids.setdefault(parts[1], parts[1]),
+                                   _KINDS[kw]))
         elif kw == "edge":
             if len(parts) != 5:
                 raise DiagramSyntaxError(
@@ -343,7 +345,8 @@ def parse_diagram(text):
             except ValueError:
                 raise DiagramSyntaxError(
                     lineno, "edge weights must be integers") from None
-            edges.append(Edge(parts[1], parts[2], wa, wb))
+            edges.append(Edge(ids.get(parts[1], parts[1]),
+                              ids.get(parts[2], parts[2]), wa, wb))
         else:
             raise DiagramSyntaxError(lineno, "unknown directive %r" % kw)
     if name is None:

@@ -3,10 +3,17 @@
 Geometry arrives exact and is converted to floats only at emission time,
 printed with a fixed 6-decimal format, so identical inputs always produce
 byte-identical files.  The vertical axis is flipped so the pictures use
-the usual mathematical orientation.
+the usual mathematical orientation.  A builder checks its input and places
+the view box when called, then yields the text one element (a line) a chunk.
 """
 
-from math import hypot, log10
+from math import hypot, isfinite, log10
+
+from .errors import ComputationError
+
+
+class DegenerateRadius(ComputationError):
+    """A ball vertex radius beyond what the log scale can place in floats."""
 
 
 def _fmt(x):
@@ -24,90 +31,84 @@ def _bbox(points, pad_factor=0.12):
         (max_y - min_y) + 2 * pad, span
 
 
-def _header(view):
-    min_x, min_y, width, height, _span = view
-    return ('<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            'width="640" height="640" viewBox="%s %s %s %s">'
-            % (_fmt(min_x), _fmt(min_y), _fmt(width), _fmt(height)))
-
-
-def _axes(view, out):
+def _figure(view, outline, marks):
+    """Header, axes, the polygon through `outline` if any, marks, end tag."""
     min_x, min_y, width, height, span = view
-    w = span * 0.002
-    out.append('<line x1="%s" y1="0.000000" x2="%s" y2="0.000000" '
-               'stroke="#bbbbbb" stroke-width="%s"/>'
-               % (_fmt(min_x), _fmt(min_x + width), _fmt(w)))
-    out.append('<line x1="0.000000" y1="%s" x2="0.000000" y2="%s" '
-               'stroke="#bbbbbb" stroke-width="%s"/>'
-               % (_fmt(min_y), _fmt(min_y + height), _fmt(w)))
+    yield '<?xml version="1.0" encoding="UTF-8"?>\n'
+    yield ('<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+           'width="640" height="640" viewBox="%s %s %s %s">\n'
+           % (_fmt(min_x), _fmt(min_y), _fmt(width), _fmt(height)))
+    yield ('<line x1="%s" y1="0.000000" x2="%s" y2="0.000000" '
+           'stroke="#bbbbbb" stroke-width="%s"/>\n'
+           % (_fmt(min_x), _fmt(min_x + width), _fmt(span * 0.002)))
+    yield ('<line x1="0.000000" y1="%s" x2="0.000000" y2="%s" '
+           'stroke="#bbbbbb" stroke-width="%s"/>\n'
+           % (_fmt(min_y), _fmt(min_y + height), _fmt(span * 0.002)))
+    if outline:
+        coords = " ".join("%s,%s" % (_fmt(x), _fmt(-y)) for x, y in outline)
+        yield ('<polygon points="%s" fill="none" stroke="#000000" '
+               'stroke-width="%s"/>\n' % (coords, _fmt(span * 0.004)))
+    yield from marks
+    yield '</svg>\n'
 
 
-def _polygon(points, view, out):
-    coords = " ".join("%s,%s" % (_fmt(x), _fmt(-y)) for x, y in points)
-    out.append('<polygon points="%s" fill="none" stroke="#000000" '
-               'stroke-width="%s"/>' % (coords, _fmt(view[4] * 0.004)))
+def _dot(x, y, span):
+    return ('<circle cx="%s" cy="%s" r="%s" fill="#000000"/>\n'
+            % (_fmt(x), _fmt(-y), _fmt(span * 0.008)))
+
+
+def _label(x, y, span, e1, e2):
+    return ('<text x="%s" y="%s" font-size="%s" '
+            'text-anchor="middle">(%d,%d)</text>\n'
+            % (_fmt(x), _fmt(-y), _fmt(span * 0.045), e1, e2))
+
+
+def _ball_marks(pts, span, rays):
+    for (x, y), ray in zip(pts, rays):
+        yield ('<line x1="0.000000" y1="0.000000" x2="%s" y2="%s" '
+               'stroke="#888888" stroke-width="%s"/>\n'
+               % (_fmt(x * 1.12), _fmt(-y * 1.12), _fmt(span * 0.002)))
+        yield _label(x * 1.30, y * 1.30, span, *ray.primitive)
+    yield from (_dot(x, y, span) for x, y in pts)
+
+
+def _hull_marks(pts, span, points):
+    for (x, y), (e1, e2) in zip(pts, points):
+        yield _dot(x, y, span)
+        yield _label(x * 1.14, y * 1.14, span, e1, e2)
 
 
 def ball_svg(ball, log_scale=False):
-    """SVG text for a norm unit ball.
+    """SVG text for a norm unit ball, as chunks.
 
     The polygon runs through the ball vertices (ray primitive divided by
     its norm); every ray is drawn from the origin and labeled with its
     primitive coordinates.  With log_scale the radii are compressed as
     1 + log10(r / r_min), which keeps wildly different ray norms visible
-    in one picture; angles are never changed.
+    in one picture; angles are never changed.  DegenerateRadius when a
+    radius or 1 / r_min, the largest factor, is not a positive finite float.
     """
     if not ball.faces:
         raise ValueError("cannot draw a ball with no faces")
     pts = [(r.primitive[0] / r.norm, r.primitive[1] / r.norm)
            for r in ball.rays]
     if log_scale:
-        r_min = min(hypot(x, y) for x, y in pts)
-        scaled = []
-        for x, y in pts:
-            r = hypot(x, y)
-            factor = (1.0 + log10(r / r_min)) / r
-            scaled.append((x * factor, y * factor))
-        pts = scaled
-
-    ray_pts = [(x * 1.12, y * 1.12) for x, y in pts]
-    label_pts = [(x * 1.30, y * 1.30) for x, y in pts]
-    view = _bbox(label_pts)
-    out = ['<?xml version="1.0" encoding="UTF-8"?>', _header(view)]
-    _axes(view, out)
-    _polygon(pts, view, out)
-    for (x, y), (lx, ly), ray in zip(ray_pts, label_pts, ball.rays):
-        out.append('<line x1="0.000000" y1="0.000000" x2="%s" y2="%s" '
-                   'stroke="#888888" stroke-width="%s"/>'
-                   % (_fmt(x), _fmt(-y), _fmt(view[4] * 0.002)))
-        out.append('<text x="%s" y="%s" font-size="%s" '
-                   'text-anchor="middle">(%d,%d)</text>'
-                   % (_fmt(lx), _fmt(-ly), _fmt(view[4] * 0.045),
-                      ray.primitive[0], ray.primitive[1]))
-    for x, y in pts:
-        out.append('<circle cx="%s" cy="%s" r="%s" fill="#000000"/>'
-                   % (_fmt(x), _fmt(-y), _fmt(view[4] * 0.008)))
-    out.append('</svg>')
-    return "\n".join(out) + "\n"
+        radii = [hypot(x, y) for x, y in pts]
+        r_min, r_max = min(radii), max(radii)
+        if not (r_min > 0.0 and isfinite(1.0 / r_min) and isfinite(r_max)):
+            raise DegenerateRadius("log-scaled radii %r..%r" % (r_min, r_max))
+        factors = [(1.0 + log10(r / r_min)) / r for r in radii]
+        pts = [(x * f, y * f) for (x, y), f in zip(pts, factors)]
+    view = _bbox([(x * 1.30, y * 1.30) for x, y in pts])
+    return _figure(view, pts, _ball_marks(pts, view[4], ball.rays))
 
 
 def hull_svg(points):
     """SVG text for a convex lattice polygon, vertices labeled by their
-    exponent pairs."""
+    exponent pairs, as chunks."""
     if not points:
         raise ValueError("cannot draw an empty hull")
     pts = [(float(x), float(y)) for x, y in points]
-    label_pts = [(x * 1.14, y * 1.14) for x, y in pts]
-    view = _bbox(label_pts if len(pts) > 1 else pts)
-    out = ['<?xml version="1.0" encoding="UTF-8"?>', _header(view)]
-    _axes(view, out)
-    if len(pts) > 1:
-        _polygon(pts, view, out)
-    for (x, y), (lx, ly), (e1, e2) in zip(pts, label_pts, points):
-        out.append('<circle cx="%s" cy="%s" r="%s" fill="#000000"/>'
-                   % (_fmt(x), _fmt(-y), _fmt(view[4] * 0.008)))
-        out.append('<text x="%s" y="%s" font-size="%s" '
-                   'text-anchor="middle">(%d,%d)</text>'
-                   % (_fmt(lx), _fmt(-ly), _fmt(view[4] * 0.045), e1, e2))
-    out.append('</svg>')
-    return "\n".join(out) + "\n"
+    outline = pts if len(pts) > 1 else ()
+    view = _bbox([(x * 1.14, y * 1.14) for x, y in outline] or pts)
+    return _figure(view, outline, _hull_marks(pts, view[4], points))

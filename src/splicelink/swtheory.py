@@ -42,7 +42,7 @@ class BasicClassSet:
         return list(self._hull)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CanonicalClass:
     """Canonical class attached to a fibered face: its class S_F, twice
     its dual vertex, which pairs positively with the face's own cone."""

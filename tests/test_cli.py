@@ -381,7 +381,8 @@ class TestReport:
 
 
 class TestStreamedReport:
-    """The report JSON goes to its file in chunks, never as one string."""
+    """The report JSON and the SVG figures go to their files in chunks,
+    never as one string."""
 
     @staticmethod
     def recorded_writes(argv, monkeypatch, capsys):
@@ -416,15 +417,31 @@ class TestStreamedReport:
         return writes
 
     @pytest.mark.parametrize("argv", [
-        ["gen", "--n", "2", "-o", "{tmp}/k4.sd"],
-        ["hull", "--family", "2", "--svg", "{tmp}/hull.svg"],
-        ["ball", "--family", "2", "--svg", "{tmp}/ball.svg"]])
+        ["gen", "--n", "2", "-o", "{tmp}/k4.sd"]])
     def test_text_files_take_one_write(self, argv, tmp_path, monkeypatch,
                                        capsys):
         argv = [a.format(tmp=tmp_path) for a in argv]
         writes = self.recorded_writes(argv, monkeypatch, capsys)
         assert [len(calls) for calls in writes] == [1]
         assert writes[0][0] == Path(argv[-1]).read_text()
+
+    @pytest.mark.parametrize("argv", [
+        ["hull", "--family", "2", "--svg", "{tmp}/hull.svg"],
+        ["ball", "--family", "2", "--svg", "{tmp}/ball.svg"],
+        ["ball", "--family", "2", "--svg", "{tmp}/ball.svg", "--log-scale"]])
+    def test_svg_is_written_one_element_a_chunk(self, argv, tmp_path,
+                                                monkeypatch, capsys):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        writes = self.recorded_writes(argv, monkeypatch, capsys)
+        assert len(writes) == 1
+        chunks = writes[0]
+        assert "".join(chunks) == Path(argv[4]).read_text()
+        assert len(chunks) > 10
+        for chunk in chunks:
+            # one line, one element: a tag and, for a label, its text
+            assert chunk.startswith("<") and chunk.endswith(">\n")
+            assert chunk.count("\n") == 1
+            assert chunk.count("<") - chunk.count("</") <= 1
 
     def test_report_is_written_in_term_blocks(self, tmp_path, monkeypatch,
                                               capsys):
@@ -517,4 +534,36 @@ class TestSvg:
     def test_direct_builders_match_cli(self, tmp_path, capsys, k4):
         path = tmp_path / "ball.svg"
         run(["ball", "--family", "2", "--svg", str(path)], capsys)
-        assert path.read_text() == ball_svg(unit_ball(k4))
+        assert path.read_text() == "".join(ball_svg(unit_ball(k4)))
+
+    @pytest.mark.parametrize("n", [330, 350])
+    def test_log_scale_out_of_float_range_fails_cleanly(self, n, tmp_path,
+                                                        capsys):
+        # n = 350: a vertex radius underflows to 0.0; n = 330: it is
+        # subnormal, and its scale factor 1 / r overflows
+        path = tmp_path / "f.svg"
+        code, _out, err = run(["ball", "--family", str(n), "--svg",
+                               str(path), "--log-scale"], capsys)
+        assert code == 2
+        assert err.startswith("svg.DegenerateRadius: ")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("argv", [["ball", "--family", "200"],
+                                      ["hull", "--family", "50"]])
+    def test_svg_memory_is_below_its_file_size(self, argv, tmp_path, capsys):
+        path = tmp_path / "f.svg"
+        run(argv + ["--svg", str(path)], capsys)  # caches and imports
+
+        def peak(extra):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                code, _out, _err = run(argv + extra, capsys)
+                traced_peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            return traced_peak
+
+        excess = peak(["--svg", str(path)]) - peak([])
+        assert excess < path.stat().st_size

@@ -1,5 +1,5 @@
-"""The package imports nothing outside the standard library, and every
-name a module imports is used in it."""
+"""The package imports nothing outside the standard library, every name a
+module imports is used in it, and its frozen dataclasses are slotted."""
 
 import ast
 import sys
@@ -54,3 +54,29 @@ def test_every_imported_name_is_used():
 def test_no_runtime_dependencies_are_declared():
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     assert "dependencies = []" in text.splitlines()
+
+
+def unslotted_frozen_dataclasses(path):
+    """Names of the classes in a module decorated @dataclass(frozen=True,
+    ...) without slots=True."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for dec in node.decorator_list:
+            if isinstance(dec, ast.Call) and ast.unparse(dec.func) in (
+                    "dataclass", "dataclasses.dataclass"):
+                flags = {k.arg: getattr(k.value, "value", None)
+                         for k in dec.keywords}
+                if flags.get("frozen") is True \
+                        and flags.get("slots") is not True:
+                    found.append(node.name)
+    return found
+
+
+def test_frozen_dataclasses_are_slotted():
+    # a slotted instance has no __dict__, which is most of its memory
+    modules = sorted((ROOT / "src" / "splicelink").glob("*.py"))
+    assert modules
+    for path in modules:
+        assert unslotted_frozen_dataclasses(path) == [], path.name

@@ -65,6 +65,18 @@ class TestParse:
         with pytest.raises(DiagramSyntaxError):
             parse_diagram("node H1\ndiagram X\n")
 
+    def test_edge_ends_share_the_vertex_id_strings(self):
+        d = parse_diagram(K2_TEXT)
+        ids = {v.id: v.id for v in d.vertices}
+        for e in d.edges:
+            assert e.a is ids[e.a] and e.b is ids[e.b]
+
+    def test_undeclared_edge_end_is_still_reported(self):
+        with pytest.raises(ValidationError) as info:
+            parse_diagram(K2_TEXT + "edge H2 KX 1 1\n")
+        assert any(v.startswith("UnknownVertex") and "KX" in v
+                   for v in info.value.violations)
+
 
 class TestRender:
     def test_round_trip_text(self):
