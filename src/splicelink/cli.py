@@ -30,13 +30,12 @@ from dataclasses import dataclass, fields
 from .errors import ComputationError
 from .invariants import (alexander_factors, boundary_slope, is_fibered,
                          thurston_norm)
-from .laurent import (LaurentPoly, centered_product, mixed_radix_count,
-                      product_newton_polygon)
+from .laurent import FactoredDelta, LaurentPoly
 from .orbits import face_orbits, lattice_symmetries, min_structure_count
 from .polytope import unit_ball
 from .splice import build_k2n, linking_number, parse_diagram, render_diagram
 from .svg import ball_svg, hull_svg
-from .swtheory import canonical_classes, sw_polynomial
+from .swtheory import canonical_classes, is_homotopy_k3, sw_polynomial
 
 # One [e1, e2, "coefficient"] term of a report's term arrays, as
 # json.dumps(..., indent=2) lays it out at that depth (a decimal string
@@ -130,14 +129,6 @@ def _load_diagram(args):
     return parse_diagram(_read_text(args.diagram))
 
 
-def _factored_text(factors, power=1):
-    """Δ(t1^power, t2^power) as the product of the centered factors, the
-    list alexander_factors gives; used for the family, whose factors are
-    trinomials."""
-    return "".join("(%s)" % f.symmetrize()[0].substitute_power(power)
-                   for f in factors)
-
-
 # --------------------------------------------------------------------- report
 
 @dataclass
@@ -220,7 +211,7 @@ def build_report(d, family_n, delta):
                             "divisibility": str(c.divisibility)}
                            for c in canon],
         orbit_count=orbit_count,
-        homotopy_k3=lk12 % 2 == 1,
+        homotopy_k3=is_homotopy_k3(lk12),
     )
 
 
@@ -266,9 +257,8 @@ def cmd_slopes(args):
 def cmd_alex(args):
     d = _load_diagram(args)
     family_n = args.family or recognize_family(d)
-    factors = alexander_factors(d)
-    print(_factored_text(factors) if family_n
-          else centered_product(factors))
+    delta = FactoredDelta(alexander_factors(d))
+    print(delta.text() if family_n else delta.expand())
     return 0
 
 
@@ -289,7 +279,7 @@ def cmd_ball(args):
 
 def cmd_hull(args):
     d = _load_diagram(args)
-    hull = product_newton_polygon(alexander_factors(d))
+    hull = FactoredDelta(alexander_factors(d)).newton_polygon()
     for e1, e2 in hull:
         print("vertex (%d,%d)" % (e1, e2))
     if args.svg:
@@ -300,20 +290,14 @@ def cmd_hull(args):
 def cmd_sw(args):
     d = _load_diagram(args)
     family_n = args.family or recognize_family(d)
-    factors = alexander_factors(d)
+    delta = FactoredDelta(alexander_factors(d))
     # The SW polynomial is Δ(t1^2, t2^2): Δ's term count, Δ's hull doubled.
-    # The family's count is read off the factors; any other diagram prints
-    # Δ, so it expands Δ anyway.
-    hull = product_newton_polygon(factors)
-    count = mixed_radix_count(factors) if family_n else None
-    if count is None:
-        delta = centered_product(factors)
-        count = len(delta)
-    print("SW polynomial: %s" % (_factored_text(factors, 2) if family_n
-                                 else sw_polynomial(delta)))
-    print("basic classes: %d" % count)
-    print("hull vertices: %s"
-          % " ".join("(%d,%d)" % (2 * e1, 2 * e2) for e1, e2 in hull))
+    # Only a diagram outside the family prints, so expands, Δ.
+    print("SW polynomial: %s" % (delta.text(2) if family_n
+                                 else sw_polynomial(delta.expand())))
+    print("basic classes: %d" % delta.term_count())
+    print("hull vertices: %s" % " ".join(
+        "(%d,%d)" % (2 * e1, 2 * e2) for e1, e2 in delta.newton_polygon()))
     print("all classes even: yes")  # sw is Δ(t1^2, t2^2)
     return 0
 
@@ -326,9 +310,8 @@ def cmd_orbits(args):
 def cmd_report(args):
     d = _load_diagram(args)
     family_n = args.family or recognize_family(d)
-    factors = alexander_factors(d)
-    delta = centered_product(factors)
-    report = build_report(d, family_n, delta)
+    delta = FactoredDelta(alexander_factors(d))
+    report = build_report(d, family_n, delta.expand())
     print("diagram %s%s" % (report.diagram,
                             "  (family n=%d)" % family_n
                             if family_n is not None else ""))
@@ -343,9 +326,9 @@ def cmd_report(args):
               % (f["lo"][0], f["lo"][1], f["hi"][0], f["hi"][1],
                  f["dual"][0], f["dual"][1]))
     print("alexander polynomial: %s"
-          % (_factored_text(factors) if family_n else delta))
+          % (delta.text() if family_n else report.alexander))
     # The SW polynomial Δ(t1^2, t2^2) has one basic class per term of Δ.
-    print("sw basic classes: %d" % len(delta))
+    print("sw basic classes: %d" % delta.term_count())
     print("canonical classes:")
     for c in report.canonical_classes:
         print("  (%s,%s)  divisibility %s"

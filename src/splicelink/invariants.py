@@ -21,7 +21,7 @@ from functools import cmp_to_key
 from math import gcd
 
 from .errors import ComputationError
-from .laurent import LaurentPoly, NotDivisible, centered_product
+from .laurent import FactoredDelta, LaurentPoly, NotDivisible
 from .splice import linking_number
 
 
@@ -175,8 +175,8 @@ def alexander_factors(d):
 def alexander_polynomial(d):
     """The symmetrized 2-variable Alexander polynomial of the link: the
     product of alexander_factors, centered and sign-normalized so that
-    the graded-lex-leading coefficient is positive (centered_product)."""
-    return centered_product(alexander_factors(d))
+    the graded-lex-leading coefficient is positive (FactoredDelta.expand)."""
+    return FactoredDelta(alexander_factors(d)).expand()
 
 
 def closed_form_ray_norm(n, i):

@@ -11,19 +11,20 @@ lexicographic order on (e1, e2).  Like the Newton polygon, the ascending
 term order is computed once per polynomial, on first use, and cached: the
 printed text and ``sorted_terms`` both read that one sort.
 
-``centered_product`` refuses, with TooLarge, a product that could have
-more than MAX_TERMS terms, before it multiplies anything.
+``FactoredDelta`` reads Δ's centering, polygon, term count and text off
+its factors, and refuses, with TooLarge, to expand a product that could
+have more than MAX_TERMS terms, before it multiplies anything.
 """
 
 import heapq
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from math import prod
 from operator import mul
 
 from .errors import ComputationError
 
-# The most terms centered_product may expand: Π len(factor) bounds the
+# The most terms FactoredDelta.expand may expand: Π len(factor) bounds the
 # product's term count, so the 12-node chain's Δ (3^12 = 531,441 terms)
 # is expanded and the 14-node chain's (3^14 = 4,782,969) is refused.
 MAX_TERMS = 2 ** 20
@@ -44,10 +45,9 @@ class TooLarge(ComputationError):
 class OddSpan(ComputationError):
     """Centering is impossible because some exponent span is odd.
 
-    Carries the factors of the uncentered polynomial (``factors``) and
-    the half-integral shift (``shift``) that centering would require.  The
-    polynomial itself (``poly``) is their product, expanded only when it
-    is read.
+    Carries the factors of the uncentered polynomial (``factors``), whose
+    product is never expanded, and the half-integral shift (``shift``)
+    that centering would require.
     """
 
     def __init__(self, factors, shift):
@@ -55,10 +55,6 @@ class OddSpan(ComputationError):
                          % (shift,))
         self.factors = tuple(factors)
         self.shift = shift
-
-    @cached_property
-    def poly(self):
-        return reduce(mul, self.factors)
 
 
 def _grlex_key(e):
@@ -126,70 +122,6 @@ def _center(factors):
     if t1 % 2 or t2 % 2:
         raise OddSpan(factors, (Fraction(t1, 2), Fraction(t2, 2)))
     return t1 // 2, t2 // 2
-
-
-def product_newton_polygon(factors):
-    """The Newton polygon of the centered product of the factors, read off
-    the factors' own polygons without expanding the product.
-
-    Over the integers Newt(fg) = Newt(f) + Newt(g) (Ostrowski), so the
-    product's polygon is the Minkowski sum of the factors' polygons, whose
-    vertices are sums of factor vertices.  Returns exactly what
-    ``product.symmetrize()[0].newton_polygon()`` returns.  Raises OddSpan
-    where symmetrize would.
-    """
-    hull = [(0, 0)]
-    for factor in factors:
-        hull = convex_hull([(a1 + b1, a2 + b2) for a1, a2 in hull
-                            for b1, b2 in factor.newton_polygon()])
-    s1, s2 = _center(factors)
-    return [(e1 - s1, e2 - s2) for e1, e2 in hull]
-
-
-def mixed_radix_count(factors):
-    """The number of terms of the product of the nonzero factors, read off
-    their supports when a mixed-radix certificate holds, else None.
-
-    Project every support onto e1 (then, failing that, onto e2).  When
-    each factor's projection is injective and, with the factors ordered by
-    the span of their projections, each factor's smallest gap exceeds the
-    sum of the spans before it, every choice of one term per factor has
-    its own projected sum.  Then no two products of terms meet, nothing
-    cancels, and the product has Π len(factor) terms.
-    """
-    for axis in (0, 1):
-        projections = []
-        for factor in factors:
-            values = sorted({e[axis] for e in factor.support()})
-            if len(values) < len(factor):
-                break
-            projections.append(values)
-        else:
-            reach = 0
-            for values in sorted(projections, key=lambda v: v[-1] - v[0]):
-                if any(b - a <= reach for a, b in zip(values, values[1:])):
-                    break
-                reach += values[-1] - values[0]
-            else:
-                return prod(len(factor) for factor in factors)
-    return None
-
-
-def centered_product(factors):
-    """The product of the nonzero factors, centered as symmetrize centers
-    it, with a positive graded-lex-leading coefficient.  That order is
-    translation invariant, so LT(fg) = LT(f) LT(g): the factors are
-    multiplied onto the monomial carrying both shift and sign, and the
-    product is not scanned again.  Raises OddSpan where symmetrize would,
-    and TooLarge, before any multiplication, when Π len(factor), which
-    bounds the product's term count, exceeds MAX_TERMS."""
-    sign = (-1) ** sum(f.leading_term()[1] < 0 for f in factors)
-    s1, s2 = _center(factors)
-    bound = prod(len(f) for f in factors)
-    if bound > MAX_TERMS:
-        raise TooLarge("the product could have %d terms, more than %d"
-                       % (bound, MAX_TERMS))
-    return reduce(mul, factors, LaurentPoly.monomial(-s1, -s2, sign))
 
 
 class LaurentPoly:
@@ -439,3 +371,86 @@ class LaurentPoly:
 
     def __repr__(self):
         return "LaurentPoly(%r)" % (self._terms,)
+
+
+class FactoredDelta:
+    """Δ as the factors alexander_factors gives, one per kernel line and
+    each lying on its line (Eisenbud & Neumann).  Hull, term count and text
+    are read off them; only ``expand`` multiplies them, once.  The
+    constructor centers, so it raises OddSpan where symmetrize would."""
+
+    __slots__ = ("factors", "shift", "_expanded")
+
+    def __init__(self, factors):
+        self.factors = tuple(factors)
+        self.shift = _center(self.factors)
+        self._expanded = None
+
+    def newton_polygon(self):
+        """``expand().newton_polygon()`` without expanding: the factors'
+        polygons are segments, so their Minkowski sum (Ostrowski) is a
+        zonotope, walked counterclockwise from the sum of their lex-least
+        points along the segments by ascending slope, then negated."""
+        x, y = -self.shift[0], -self.shift[1]
+        edges = {}
+        for factor in self.factors:
+            lo, hi = min(factor.support()), max(factor.support())
+            x, y = x + lo[0], y + lo[1]
+            dx, dy = hi[0] - lo[0], hi[1] - lo[1]
+            if dx or dy:  # one key per slope (dy > 0 when dx == 0)
+                ex, ey = edges.get((dx == 0, Fraction(dy, dx or dy)), (0, 0))
+                edges[dx == 0, Fraction(dy, dx or dy)] = (ex + dx, ey + dy)
+        steps = [edges[key] for key in sorted(edges)]
+        vertices = [(x, y)]
+        # the last negated step would close the walk at the start vertex
+        for dx, dy in steps + [(-dx, -dy) for dx, dy in steps[:-1]]:
+            x, y = x + dx, y + dy
+            vertices.append((x, y))
+        return vertices
+
+    def term_count(self):
+        """The product's number of terms: Π len(factor) when a mixed-radix
+        certificate holds, else len(expand()).  The certificate: projected
+        onto e1 (failing that, e2) each factor's support is injective and,
+        ordered by projected span, each factor's smallest gap exceeds the
+        spans before it, so each choice of one term per factor has its own
+        projected sum and nothing cancels."""
+        for axis in (0, 1):
+            projections = []
+            for factor in self.factors:
+                values = sorted({e[axis] for e in factor.support()})
+                if len(values) < len(factor):
+                    break
+                projections.append(values)
+            else:
+                reach = 0
+                for values in sorted(projections, key=lambda v: v[-1] - v[0]):
+                    if any(b - a <= reach for a, b in zip(values, values[1:])):
+                        break
+                    reach += values[-1] - values[0]
+                else:
+                    return prod(len(factor) for factor in self.factors)
+        return len(self.expand())
+
+    def expand(self):
+        """The centered product with a positive graded-lex-leading
+        coefficient, built on the first call and kept.  That order is
+        translation invariant, so LT(fg) = LT(f) LT(g): the factors are
+        multiplied onto the monomial carrying shift and sign, and the
+        product is not scanned again.  Raises TooLarge, before multiplying,
+        when Π len(factor), a bound on the term count, exceeds MAX_TERMS."""
+        if self._expanded is None:
+            bound = prod(len(f) for f in self.factors)
+            if bound > MAX_TERMS:
+                raise TooLarge("the product could have %d terms, more than %d"
+                               % (bound, MAX_TERMS))
+            sign = (-1) ** sum(f.leading_term()[1] < 0 for f in self.factors)
+            self._expanded = reduce(mul, self.factors, LaurentPoly.monomial(
+                -self.shift[0], -self.shift[1], sign))
+        return self._expanded
+
+    def text(self, power=1):
+        """Δ(t1^power, t2^power) as the product of the centered factors;
+        used for the chain family, whose factors are trinomials."""
+        return "".join("(%s)" % f.symmetrize()[0].substitute_power(power)
+                       for f in self.factors)

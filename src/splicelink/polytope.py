@@ -73,7 +73,8 @@ def dual_vertex(a, na, b, nb):
         b1*x + b2*y = nb / 2
 
     solved exactly over the rationals.  Raises SingularSystem when a and b
-    are proportional.
+    are proportional.  unit_ball reads its dual vertices off the sweep; the
+    tests' ray-by-ray oracle ball (test_polytope.py) solves them with this.
     """
     det = a[0] * b[1] - a[1] * b[0]
     if det == 0:

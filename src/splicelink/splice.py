@@ -144,10 +144,6 @@ class SpliceDiagram:
             raise UnknownVertex("no vertex %r in diagram %r"
                                 % (vid, self.name)) from None
 
-    def degree(self, vid):
-        self.vertex(vid)
-        return len(self._adj[vid])
-
     @cached_property
     def arrowheads(self):
         return tuple(v for v in self.vertices if v.kind is VertexKind.ARROW)

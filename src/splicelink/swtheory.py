@@ -11,7 +11,7 @@ face is its integer class S_F, twice its dual vertex in the norm ball.
 
 from dataclasses import dataclass
 
-from .laurent import ZeroPolynomial, convex_hull, product_newton_polygon
+from .laurent import FactoredDelta, ZeroPolynomial, convex_hull
 from .polytope import divisibility
 from .invariants import alexander_factors
 from .splice import linking_number
@@ -81,15 +81,19 @@ def sw_norm(bcs, m):
     return max(k1 * m1 + k2 * m2 for k1, k2 in bcs.hull())
 
 
+def is_homotopy_k3(lk12):
+    """Homotopy K3, for a link whose Δ exists: lk(K1, K2) is odd.  Every
+    basic class is then even, since the SW polynomial is Δ(t1^2, t2^2)."""
+    return lk12 % 2 == 1
+
+
 def homotopy_k3_check(d):
-    """True iff the linking number of the two components is odd and the
-    Alexander polynomial exists.  Every basic class is then even, since
-    the SW polynomial is Δ(t1^2, t2^2).  Δ is not built: its polygon, read
-    off the factors, raises NotDivisible or OddSpan exactly where Δ does."""
+    """True iff is_homotopy_k3 holds and Δ exists.  Δ is not expanded: its
+    factors and centering raise NotDivisible or OddSpan where Δ does."""
     k1, k2 = d.arrowheads
-    if linking_number(d, k1.id, k2.id) % 2 == 0:
+    if not is_homotopy_k3(linking_number(d, k1.id, k2.id)):
         return False
-    product_newton_polygon(alexander_factors(d))
+    FactoredDelta(alexander_factors(d))
     return True
 
 

@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
@@ -14,7 +15,7 @@ import splicelink
 from splicelink.cli import build_report, main, recognize_family
 from splicelink.errors import ComputationError
 from splicelink.invariants import alexander_factors, alexander_polynomial
-from splicelink.laurent import LaurentPoly, centered_product
+from splicelink.laurent import FactoredDelta, LaurentPoly
 from splicelink.polytope import NormBall, unit_ball
 from splicelink.splice import build_k2n, parse_diagram, render_diagram
 from splicelink.svg import ball_svg, hull_svg
@@ -185,7 +186,7 @@ def test_found_tree_fails_cleanly_in_bounded_memory():
 
 def test_hull_is_read_off_the_factors_in_bounded_memory():
     # Δ of the 16-node chain has 3^16 terms, far beyond 1 GiB expanded;
-    # its hull is the Minkowski sum of 16 segments in distinct directions.
+    # its hull is the zonotope of 16 segments in distinct directions.
     proc = run_in_one_gib(["hull", "--family", "8"])
     assert (proc.returncode, proc.stderr) == (0, "")
     assert len(proc.stdout.splitlines()) == 32
@@ -229,8 +230,7 @@ def test_too_large_is_raised_before_any_product(monkeypatch, capsys):
 def test_odd_span_is_reported_without_expanding_the_product(
         command, monkeypatch, capsys):
     # Once Δ's factors are built, the half-integral shift is read off
-    # their extremes; the product an OddSpan carries is expanded only when
-    # its .poly is read, which no command does.
+    # their extremes; an OddSpan carries the factors, not their product.
     oddspan = Path(__file__).parent / "data" / "oddspan.sd"
     factored = []
     late_products = []
@@ -464,7 +464,7 @@ class TestStreamedReport:
         try:
             factors = alexander_factors(build_k2n(4))
             before = tracemalloc.get_traced_memory()[0]
-            delta = centered_product(factors)
+            delta = FactoredDelta(factors).expand()
             delta_size = tracemalloc.get_traced_memory()[0] - before
             del delta, factors
             gc.collect()
@@ -479,14 +479,23 @@ class TestStreamedReport:
         assert peak <= 2.0 * delta_size
 
 
-def test_family_sw_counts_without_expanding(monkeypatch, capsys):
-    def expand(_factors):
-        raise AssertionError("sw expanded the family's Δ")
+@pytest.mark.parametrize("argv,text,count", [
+    ("alex --family 6", "(", 12),  # one parenthesized trinomial a node
+    ("hull --family 6", "vertex ", 24),
+    ("sw --family 6", "basic classes: %d\n" % 3 ** 12, 1),
+    ("hull --family 200", "vertex ", 800)],
+    ids=["alex-6", "hull-6", "sw-6", "hull-200"])
+def test_family_commands_do_not_expand(argv, text, count, monkeypatch,
+                                       capsys):
+    def refuse(_self):
+        raise AssertionError("%s expanded the family's Δ" % argv)
 
-    monkeypatch.setattr(splicelink.cli, "centered_product", expand)
-    code, out, _err = run(["sw", "--family", "6"], capsys)
-    assert code == 0
-    assert "basic classes: %d\n" % 3 ** 12 in out
+    monkeypatch.setattr(FactoredDelta, "expand", refuse)
+    start = time.perf_counter()
+    code, out, _err = run(argv.split(), capsys)
+    elapsed = time.perf_counter() - start
+    assert (code, out.count(text)) == (0, count)
+    assert elapsed < 0.1
 
 
 class TestSvg:

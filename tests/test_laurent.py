@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from splicelink import laurent
 from splicelink.errors import ComputationError
 from splicelink.invariants import alexander_polynomial
-from splicelink.laurent import (LaurentPoly, NotDivisible, OddSpan, TooLarge,
-                                ZeroPolynomial, centered_product, convex_hull,
-                                product_newton_polygon)
+from splicelink.laurent import (FactoredDelta, LaurentPoly, NotDivisible,
+                                OddSpan, TooLarge, ZeroPolynomial, _center,
+                                convex_hull)
 from splicelink.splice import build_k2n
 from test_splice import random_diagram
 
@@ -36,6 +36,17 @@ coefficients = st.integers(min_value=-9, max_value=9)
 polys = st.dictionaries(st.tuples(exponents, exponents), coefficients,
                         max_size=6).map(LaurentPoly)
 nonzero_polys = polys.filter(bool)
+# a polynomial in one monomial u = t^w, times a monomial, as each of Δ's
+# factors is one in u = t^(-p2, p1) for its kernel line p
+line_polys = st.builds(
+    lambda offset, w, terms: LaurentPoly(
+        [((offset[0] + k * w[0], offset[1] + k * w[1]), c)
+         for k, c in terms.items()]),
+    st.tuples(exponents, exponents),
+    st.tuples(st.integers(min_value=-3, max_value=3),
+              st.integers(min_value=-3, max_value=3)),
+    st.dictionaries(st.integers(min_value=-3, max_value=3), coefficients,
+                    max_size=4)).filter(bool)
 
 
 class TestConstruction:
@@ -141,7 +152,7 @@ class TestSymmetrize:
         p = LaurentPoly({(1, 0): 1, (0, 0): 1})
         with pytest.raises(OddSpan) as info:
             p.symmetrize()
-        assert info.value.poly == p
+        assert reduce(mul, info.value.factors) == p
         assert info.value.shift == (Fraction(1, 2), Fraction(0))
 
     def test_zero_rejected(self):
@@ -249,25 +260,32 @@ def test_symmetrize_centers_mirrored_supports(p, shift):
     assert centered.shift(used[0], used[1]) == moved
 
 
+def minkowski_polygon(factors):
+    """Oracle: the centered product's polygon as the Minkowski sum of the
+    factors' polygons (Ostrowski), re-hulled once per factor."""
+    hull = [(0, 0)]
+    for factor in factors:
+        hull = convex_hull([(a1 + b1, a2 + b2) for a1, a2 in hull
+                            for b1, b2 in factor.newton_polygon()])
+    s1, s2 = _center(factors)
+    return [(e1 - s1, e2 - s2) for e1, e2 in hull]
+
+
 def _centered_product_polygon(factors):
-    """Oracle: expand the product, center it, take its polygon; or the
-    OddSpan's polynomial and shift."""
-    product = LaurentPoly.one()
-    for f in factors:
-        product = product * f
-    try:
-        return product.symmetrize()[0].newton_polygon()
-    except OddSpan as exc:
-        return ("OddSpan", str(exc), exc.poly, exc.shift)
+    """Oracle: expand the product, center it, take its polygon."""
+    return reduce(mul, factors, LaurentPoly.one()).symmetrize()[0] \
+        .newton_polygon()
 
 
-@given(st.lists(nonzero_polys, max_size=4))
+def zonotope_polygon(factors):
+    return FactoredDelta(factors).newton_polygon()
+
+
+@given(st.lists(line_polys, max_size=4))
 def test_product_polygon_is_the_expanded_one(factors):
-    try:
-        got = product_newton_polygon(factors)
-    except OddSpan as exc:
-        got = ("OddSpan", str(exc), exc.poly, exc.shift)
-    assert got == _centered_product_polygon(factors)
+    got = centering_outcome(zonotope_polygon, factors)
+    assert got == centering_outcome(_centered_product_polygon, factors)
+    assert got == centering_outcome(minkowski_polygon, factors)
 
 
 def symmetrized_product(factors):
@@ -277,19 +295,23 @@ def symmetrized_product(factors):
     return -centered if centered.leading_term()[1] < 0 else centered
 
 
+def expanded(factors):
+    return FactoredDelta(factors).expand()
+
+
 def centering_outcome(route, factors):
     """route(factors), or the OddSpan's message, polynomial and shift."""
     try:
         return route(factors)
     except OddSpan as exc:
-        return ("OddSpan", str(exc), exc.poly, exc.shift)
+        return ("OddSpan", str(exc), reduce(mul, exc.factors), exc.shift)
 
 
 @given(st.lists(nonzero_polys, min_size=1, max_size=4))
 def test_centered_product_is_the_expanded_one(factors):
     # the coefficient and exponent ranges give negative leading
     # coefficients and odd spans, which no parsed diagram's factors have
-    assert centering_outcome(centered_product, factors) == \
+    assert centering_outcome(expanded, factors) == \
         centering_outcome(symmetrized_product, factors)
 
 
@@ -298,10 +320,10 @@ def test_centered_product_refuses_more_than_max_terms(monkeypatch):
     trinomial = LaurentPoly({(1, 1): 1, (0, 0): 1, (-1, -1): 1})
     factors = [trinomial, trinomial.substitute_power(3)]
     monkeypatch.setattr(laurent, "MAX_TERMS", 9)
-    assert len(centered_product(factors)) == 9
+    assert len(expanded(factors)) == 9
     monkeypatch.setattr(laurent, "MAX_TERMS", 8)
     with pytest.raises(TooLarge, match="could have 9 terms, more than 8"):
-        centered_product(factors)
+        expanded(factors)
 
 
 

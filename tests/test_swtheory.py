@@ -3,18 +3,19 @@ import resource
 import subprocess
 import sys
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
 from test_splice import random_diagram
 
 import splicelink
+from splicelink.cli import build_report
 from splicelink.errors import ComputationError
 from splicelink.invariants import (alexander_factors, alexander_polynomial,
                                    thurston_norm)
-from splicelink.laurent import (LaurentPoly, OddSpan, ZeroPolynomial,
-                                product_newton_polygon)
+from splicelink.laurent import (FactoredDelta, LaurentPoly, OddSpan,
+                                ZeroPolynomial)
 from splicelink.orbits import (face_orbits, lattice_symmetries,
                                min_structure_count)
 from splicelink.polytope import alexander_norm, unit_ball
@@ -162,7 +163,7 @@ class TestHomotopyK3:
             k1, k2 = d.arrowheads
             odd = linking_number(d, k1.id, k2.id) % 2 == 1
             try:
-                product_newton_polygon(alexander_factors(d))
+                FactoredDelta(alexander_factors(d))
                 outcome = "delta"
             except OddSpan:
                 outcome = "OddSpan"
@@ -174,6 +175,57 @@ class TestHomotopyK3:
     def test_all_classes_even(self, delta_k2):
         sw = sw_polynomial(delta_k2)
         assert all(e1 % 2 == 0 and e2 % 2 == 0 for e1, e2 in sw.support())
+
+    def test_report_agrees_with_the_check(self):
+        # the report is built only once Δ exists; its homotopy_k3 does not
+        # read Δ, so None stands for it and the chain past MAX_TERMS counts
+        tally = {}
+        for d in ([build_k2n(n) for n in range(1, 13)]
+                  + [random_diagram(seed) for seed in range(400)]):
+            try:
+                FactoredDelta(alexander_factors(d))
+                report = build_report(d, None, None)
+            except ComputationError:
+                continue
+            assert report.homotopy_k3 == homotopy_k3_check(d), d.name
+            tally[report.homotopy_k3] = tally.get(report.homotopy_k3, 0) + 1
+        assert tally == {True: 21, False: 50}
+
+
+class TestTheChainOverItsFullRange:
+    """The paper's count and two identities read off Δ's factors, on the
+    2n-node chain for n = 1..200.  The identities partly follow from the
+    Eisenbud-Neumann product itself, so these check the implementation
+    (quotients, centering, sweep, orbits), not the theory."""
+
+    def test_papers_count(self):
+        for n in range(1, 201):
+            d = build_k2n(n)
+            assert homotopy_k3_check(d), n
+            assert min_structure_count(d) == n + 1, n
+
+    def test_torres_coefficient_sums(self):
+        # Δ(1, 1) = ±lk(K1, K2) (Torres), read as the product of the
+        # factors' coefficient sums, so it holds where centering fails
+        diagrams = ([build_k2n(n) for n in range(1, 201)]
+                    + [random_diagram(seed) for seed in range(2000)])
+        checked = 0
+        for d in diagrams:
+            try:
+                factors = alexander_factors(d)
+            except ComputationError:
+                continue
+            k1, k2 = d.arrowheads
+            value = prod(sum(c for _e, c in f.items()) for f in factors)
+            assert abs(value) == abs(linking_number(d, k1.id, k2.id)), d.name
+            checked += 1
+        assert checked == 200 + 1693
+
+    def test_chain_factors_end_in_units(self):
+        for n in range(1, 201):
+            for f in alexander_factors(build_k2n(n)):
+                terms = f.sorted_terms()
+                assert abs(terms[0][1]) == abs(terms[-1][1]) == 1, n
 
 
 class TestCanonicalClasses:
