@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields
 from .errors import ComputationError
 from .invariants import (alexander_factors, boundary_slope, is_fibered,
                          thurston_norm)
-from .laurent import FactoredDelta, LaurentPoly
+from .laurent import FactoredDelta
 from .orbits import face_orbits, lattice_symmetries, min_structure_count
 from .polytope import unit_ball
 from .splice import build_k2n, linking_number, parse_diagram, render_diagram
@@ -135,8 +135,8 @@ def _load_diagram(args):
 class Report:
     """Machine-readable summary of every computed invariant.
 
-    ``alexander`` is the centered Δ.  In the JSON all potentially large
-    integers are decimal strings, and Δ's terms are [e1, e2, coefficient]
+    ``alexander`` is Δ as its FactoredDelta.  In the JSON all potentially
+    large integers are decimal strings, and Δ's terms are [e1, e2, coefficient]
     triples in ascending graded-lex order, written twice: as ``alexander``
     and, exponents doubled, as ``sw_basic_classes`` (SW = Δ(t1^2, t2^2)).
     """
@@ -145,7 +145,7 @@ class Report:
     lk: dict
     rays: list
     faces: list
-    alexander: LaurentPoly
+    alexander: FactoredDelta
     canonical_classes: list
     orbit_count: int
     homotopy_k3: bool
@@ -157,16 +157,16 @@ class Report:
 
         json.dumps with an indent runs CPython's pure-Python encoder, so
         the two term arrays, the bulk of the text, are written straight
-        from Δ with one string template, a block of terms per chunk; every
-        other field goes through json.dumps and is indented one level
-        deeper."""
+        from the expanded Δ (never zero, so never empty) with one string
+        template, a block of terms per chunk; every other field goes
+        through json.dumps and is indented one level deeper."""
         separator = "{\n"
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name == "alexander":
                 # t -> t^2 keeps the graded-lex order, so both arrays walk
                 # Δ's one cached order
-                terms = value.sorted_terms()
+                terms = value.expand().sorted_terms()
                 for name, power in (("alexander", 1),
                                     ("sw_basic_classes", 2)):
                     yield '%s  "%s": ' % (separator, name)
@@ -174,7 +174,7 @@ class Report:
                         yield ("[\n" if i == 0 else ",\n") + ",\n".join(
                             [_TERM_JSON % (power * e1, power * e2, c)
                              for (e1, e2), c in terms[i:i + _TERM_BLOCK]])
-                    yield "\n  ]" if terms else "[]"
+                    yield "\n  ]"
             else:
                 yield "%s  %s: " % (separator, json.dumps(f.name))
                 yield json.dumps(value, indent=2).replace("\n", "\n  ")
@@ -183,7 +183,7 @@ class Report:
 
 
 def build_report(d, family_n, delta):
-    """The Report of d, whose Alexander polynomial is ``delta``."""
+    """The Report of d, whose FactoredDelta is ``delta``."""
     k1, k2 = d.arrowheads
     lk12 = linking_number(d, k1.id, k2.id)
     ball = unit_ball(d)
@@ -311,7 +311,10 @@ def cmd_report(args):
     d = _load_diagram(args)
     family_n = args.family or recognize_family(d)
     delta = FactoredDelta(alexander_factors(d))
-    report = build_report(d, family_n, delta.expand())
+    # Δ is expanded only to write its coefficients, and before any output
+    if args.json or not family_n:
+        delta.expand()
+    report = build_report(d, family_n, delta)
     print("diagram %s%s" % (report.diagram,
                             "  (family n=%d)" % family_n
                             if family_n is not None else ""))
@@ -326,7 +329,7 @@ def cmd_report(args):
               % (f["lo"][0], f["lo"][1], f["hi"][0], f["hi"][1],
                  f["dual"][0], f["dual"][1]))
     print("alexander polynomial: %s"
-          % (delta.text() if family_n else report.alexander))
+          % (delta.text() if family_n else delta.expand()))
     # The SW polynomial Δ(t1^2, t2^2) has one basic class per term of Δ.
     print("sw basic classes: %d" % delta.term_count())
     print("canonical classes:")

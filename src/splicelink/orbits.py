@@ -132,50 +132,40 @@ def face_orbits(ball, maps):
     Face i of the ball lies between rays i and i + 1 (cyclically), as
     `unit_ball` builds it.  Each map is applied once per ray, giving the
     index of each ray's image; the image of face (i, i + 1) is the face
-    between the two image indices, which must be adjacent.  Union-find
-    joins every face to its images.  Raises NotAGroup when the maps are
-    not a group, ValueError when a map does not permute the faces.
+    between the two image indices, which must be adjacent.  The maps form
+    a group, so a face's orbit is the set of its images.  Raises NotAGroup
+    when the maps are not a group, ValueError when a map does not permute
+    the faces.
     """
     _require_group(maps)
     rays = ball.rays
     count = len(rays)
     index_of = {r.primitive: i for i, r in enumerate(rays)}
-
-    parent = list(range(len(ball.faces)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-
+    faces = range(len(ball.faces))
+    images = []  # images[k][i]: the face maps[k] sends face i to
     for m in maps:
         image = [index_of.get(m.apply(r.primitive)) for r in rays]
-        for i in range(len(parent)):
+        images.append([])
+        for i in faces:
             lo, hi = image[i], image[(i + 1) % count]
             if lo is not None and hi is not None:
                 if (hi - lo) % count == 1:
-                    union(i, lo)
+                    images[-1].append(lo)
                     continue
                 if (lo - hi) % count == 1:
-                    union(i, hi)
+                    images[-1].append(hi)
                     continue
             raise ValueError("map %s does not permute the faces"
                              % (m.entries,))
 
-    labels = {}
-    face_labels = {}
-    for i in range(len(parent)):
-        root = find(i)
-        if root not in labels:
-            labels[root] = len(labels)
-        face_labels[i] = labels[root]
-    return OrbitPartition(face_labels, len(labels))
+    labels = [None] * len(faces)
+    orbit_count = 0
+    for i in faces:
+        if labels[i] is None:
+            for face_image in images:
+                labels[face_image[i]] = orbit_count
+            orbit_count += 1
+    return OrbitPartition(dict(enumerate(labels)), orbit_count)
 
 
 def min_structure_count(d):

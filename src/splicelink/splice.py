@@ -154,7 +154,8 @@ class SpliceDiagram:
 
     def path(self, start, goal):
         """Vertex ids along the unique tree path, endpoints included.
-        Raises ValidationError when no path joins them."""
+        Raises ValidationError when no path joins them.  `linking_number`
+        calls it only to report the error of a pair its row misses."""
         self.vertex(start)
         self.vertex(goal)
         parents = _bfs(self._adj, start)

@@ -14,7 +14,7 @@ import pytest
 import splicelink
 from splicelink.cli import build_report, main, recognize_family
 from splicelink.errors import ComputationError
-from splicelink.invariants import alexander_factors, alexander_polynomial
+from splicelink.invariants import alexander_factors
 from splicelink.laurent import FactoredDelta, LaurentPoly
 from splicelink.polytope import NormBall, unit_ball
 from splicelink.splice import build_k2n, parse_diagram, render_diagram
@@ -193,23 +193,30 @@ def test_hull_is_read_off_the_factors_in_bounded_memory():
 
 
 @pytest.mark.parametrize("n", [7, 50])
-def test_too_large_report_fails_cleanly_in_bounded_memory(n):
+def test_too_large_report_fails_cleanly_in_bounded_memory(n, tmp_path):
     # Δ of the 2n-node chain has 3^(2n) terms, more than MAX_TERMS from
-    # n = 7 on; the guard reads the bound off the factors.
-    proc = run_in_one_gib(["report", "--family", str(n)])
+    # n = 7 on; the JSON writes them all, so the guard, which reads the
+    # bound off the factors, refuses before any output.
+    path = tmp_path / "r.json"
+    proc = run_in_one_gib(["report", "--family", str(n), "--json", str(path)])
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("laurent.TooLarge: ")
+    assert not path.exists()
 
 
-@pytest.mark.parametrize("command", ["alex", "sw"])
-def test_factored_commands_run_past_the_term_limit(command):
-    # The family's alex and sw print the factors and count the terms
-    # without expanding Δ (hull: test_hull_is_read_off_the_factors...).
-    proc = run_in_one_gib([command, "--family", "7"])
+@pytest.mark.parametrize("argv", ["alex --family 7", "sw --family 7",
+                                  "report --family 7", "report --family 200"],
+                         ids=["alex", "sw", "report", "report-200"])
+def test_factored_commands_run_past_the_term_limit(argv):
+    # The family's alex, sw and text report print the factors and count
+    # the terms without expanding Δ (hull:
+    # test_hull_is_read_off_the_factors...).
+    proc = run_in_one_gib(argv.split())
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
-def test_too_large_is_raised_before_any_product(monkeypatch, capsys):
+def test_too_large_is_raised_before_any_product(monkeypatch, capsys,
+                                                tmp_path):
     real_factors = splicelink.cli.alexander_factors
 
     def refuse(_self, _other):
@@ -221,9 +228,12 @@ def test_too_large_is_raised_before_any_product(monkeypatch, capsys):
         return out
 
     monkeypatch.setattr(splicelink.cli, "alexander_factors", factors)
-    code, out, err = run(["report", "--family", "7"], capsys)
+    path = tmp_path / "r.json"
+    code, out, err = run(["report", "--family", "7", "--json", str(path)],
+                         capsys)
     assert (code, out) == (2, "")
     assert err.startswith("laurent.TooLarge: ")
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("command", ["alex", "hull", "sw", "report"])
@@ -264,6 +274,14 @@ def test_non_utf8_file_is_an_io_error(tmp_path, capsys):
     assert err.startswith("cli.IoError: ")
 
 
+def test_unwritable_output_is_an_io_error(tmp_path, capsys):
+    path = tmp_path / "absent" / "k4.sd"
+    code, out, err = run(["gen", "--n", "2", "-o", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("cli.IoError: ")
+    assert not path.parent.exists()
+
+
 def test_internal_value_error_is_not_a_computation_error(monkeypatch):
     def broken(_d, _m):
         raise ValueError("internal bug")
@@ -290,6 +308,13 @@ class TestRecognizeFamily:
             "edge H1 S1 3 1", "edge H1 S1 5 1"))
         assert recognize_family(d) is None
 
+    def test_k2_declared_first(self):
+        text = render_diagram(build_k2n(2)).replace(
+            "arrow K1\narrow K2\n", "arrow K2\narrow K1\n")
+        d = parse_diagram(text)
+        assert d.arrowheads[0].id == "K2"
+        assert recognize_family(d) is None
+
 
 class TestReport:
     def test_written_json_is_the_joined_chunks(self, tmp_path, capsys):
@@ -299,7 +324,8 @@ class TestReport:
         assert code == 0
         d = build_k2n(2)
         assert path.read_text() == "".join(
-            build_report(d, 2, alexander_polynomial(d)).json_chunks())
+            build_report(d, 2, FactoredDelta(alexander_factors(d)))
+            .json_chunks())
 
     def test_byte_identical_json(self, tmp_path, capsys):
         a = tmp_path / "a.json"
@@ -337,7 +363,7 @@ class TestReport:
         """The joined JSON chunks against json.dumps of a plain dict built
         here: asdict for every field but Δ, and both term arrays from a
         sort of Δ's terms of this test's own."""
-        terms = sorted(report.alexander.items(),
+        terms = sorted(report.alexander.expand().items(),
                        key=lambda t: (t[0][0] + t[0][1], t[0][0], t[0][1]))
         plain = {}
         for key, value in asdict(report).items():
@@ -357,8 +383,8 @@ class TestReport:
         text = render_diagram(build_k2n(n)).replace(" 3 1\n",
                                                     " %d 1\n" % weight)
         d = parse_diagram(text)
-        self.assert_json_matches_asdict(
-            build_report(d, recognize_family(d), alexander_polynomial(d)))
+        self.assert_json_matches_asdict(build_report(
+            d, recognize_family(d), FactoredDelta(alexander_factors(d))))
 
     def test_to_json_matches_asdict_on_random_diagrams(self):
         built = 0
@@ -366,7 +392,7 @@ class TestReport:
             d = random_diagram(seed)
             try:
                 report = build_report(d, recognize_family(d),
-                                      alexander_polynomial(d))
+                                      FactoredDelta(alexander_factors(d)))
             except ComputationError:
                 continue
             self.assert_json_matches_asdict(report)
@@ -483,8 +509,9 @@ class TestStreamedReport:
     ("alex --family 6", "(", 12),  # one parenthesized trinomial a node
     ("hull --family 6", "vertex ", 24),
     ("sw --family 6", "basic classes: %d\n" % 3 ** 12, 1),
-    ("hull --family 200", "vertex ", 800)],
-    ids=["alex-6", "hull-6", "sw-6", "hull-200"])
+    ("hull --family 200", "vertex ", 800),
+    ("report --family 6", "sw basic classes: %d\n" % 3 ** 12, 1)],
+    ids=["alex-6", "hull-6", "sw-6", "hull-200", "report-6"])
 def test_family_commands_do_not_expand(argv, text, count, monkeypatch,
                                        capsys):
     def refuse(_self):
@@ -496,6 +523,30 @@ def test_family_commands_do_not_expand(argv, text, count, monkeypatch,
     elapsed = time.perf_counter() - start
     assert (code, out.count(text)) == (0, count)
     assert elapsed < 0.1
+
+
+def stdout_field(text, prefix):
+    """The rest of the one line of text that starts with prefix."""
+    (line,) = [line for line in text.splitlines() if line.startswith(prefix)]
+    return line[len(prefix):]
+
+
+@pytest.mark.parametrize(
+    "source", [["--family", str(n)] for n in range(1, 13)] +
+    [[str(Path(__file__).parent / "data" / "w5.sd")]],
+    ids=["family-%d" % n for n in range(1, 13)] + ["w5"])
+def test_report_agrees_with_the_single_commands(source, capsys):
+    def stdout(command):
+        code, out, _err = run([command] + source, capsys)
+        assert code == 0
+        return out
+
+    report = stdout("report")
+    assert stdout_field(report, "alexander polynomial: ") + "\n" == \
+        stdout("alex")
+    assert stdout_field(report, "sw basic classes: ") == \
+        stdout_field(stdout("sw"), "basic classes: ")
+    assert stdout_field(report, "orbit count: ") + "\n" == stdout("orbits")
 
 
 class TestSvg:

@@ -11,8 +11,9 @@ in `tests/data/tree5.sd`, `{tree56}` the 56-vertex random tree of
 chain with weight 5 on every boundary edge from the chain-delta
 benchmark workload (`splicebench/gen.py` `chain(2, 5)`, in
 `tests/data/w5.sd`; it is not the family, so `report` prints its Δ
-expanded), and `{k4}` the file
-written by `gen --n 2`.  A
+expanded), `{hopf}` the Hopf link in `tests/data/hopf.sd` (two
+arrowheads, one edge: Δ = 1, and a degenerate norm ball), and `{k4}`
+the file written by `gen --n 2`.  A
 change that alters output on purpose updates the table and says so; run
 this file as a script to print the table for the current code:
 
@@ -35,6 +36,7 @@ TREE56 = Path(__file__).parent / "data" / "tree56.sd"
 FOUND20 = Path(__file__).parent / "data" / "found20.sd"
 ODDSPAN = Path(__file__).parent / "data" / "oddspan.sd"
 W5 = Path(__file__).parent / "data" / "w5.sd"
+HOPF = Path(__file__).parent / "data" / "hopf.sd"
 
 EMPTY = "e3b0c44298fc1c14"  # the digest of no output
 
@@ -139,6 +141,18 @@ GOLDEN = [
     ("orbits --family 12", 0, "1a252402972f6057", EMPTY, {}),
     ("orbits {tree} --family 1", 1, EMPTY, "5d8b8086241fdbf9", {}),
     ("norm --family 1", 1, EMPTY, "75468fe77a318e33", {}),
+    ("orbits --family 0", 1, EMPTY, "3725ad2c7f633651", {}),
+    ("orbits --family x", 1, EMPTY, "9cbc29fc3ffdc790", {}),
+    ("norm --family 1 -m 1", 1, EMPTY, "454b5e6ddc778b7b", {}),
+    # The Hopf link: Δ = 1 is printed, hulled and counted, but its norm
+    # ball has no non-fibered ray.
+    ("lk {hopf}", 0, "3e42fa2084bfdc4f", EMPTY, {}),
+    ("alex {hopf}", 0, "4355a46b19d348dc", EMPTY, {}),
+    ("hull {hopf}", 0, "944abf3e60d48c0b", EMPTY, {}),
+    ("sw {hopf}", 0, "ff38903975ab70ab", EMPTY, {}),
+    ("ball {hopf}", 2, EMPTY, "a45b15871576a50d", {}),
+    ("orbits {hopf}", 2, EMPTY, "a45b15871576a50d", {}),
+    ("report {hopf}", 2, EMPTY, "a45b15871576a50d", {}),
 ]
 
 
@@ -160,6 +174,7 @@ def run_command(command, tmp, k4):
                                       found20=shlex.quote(str(FOUND20)),
                                       oddspan=shlex.quote(str(ODDSPAN)),
                                       w5=shlex.quote(str(W5)),
+                                      hopf=shlex.quote(str(HOPF)),
                                       k4=shlex.quote(str(k4))))
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

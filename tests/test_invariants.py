@@ -282,6 +282,12 @@ class TestMixedRadixCount:
         z = LaurentPoly({(1, 3): 1, (0, 0): 1})
         assert certified_count([x, z]) == len(x * z) == 4
 
+    def test_certified_on_e2_alone(self):
+        # 1 + t2 + t2^2 collapses onto e1 = 0, so only e2 certifies
+        y = LaurentPoly({(0, 0): 1, (0, 1): 1, (0, 2): 1})
+        w = LaurentPoly({(0, 0): 1, (2, 4): 1})
+        assert certified_count([y, w]) == len(y * w) == 6
+
 
 def factored_hull(d):
     return FactoredDelta(alexander_factors(d)).newton_polygon()

@@ -179,6 +179,25 @@ class TestValidate:
         ])
         assert any(v.startswith("NotATree") for v in validate(diagram))
 
+    def test_empty(self):
+        assert "NotATree: empty diagram" in validate(SpliceDiagram("X", [], []))
+
+    def test_disconnected_with_enough_edges(self):
+        # V - 1 edges, but a 3-cycle of nodes apart from K1 - K2
+        diagram = SpliceDiagram("X", [
+            Vertex("H1", VertexKind.NODE),
+            Vertex("H2", VertexKind.NODE),
+            Vertex("H3", VertexKind.NODE),
+            Vertex("K1", VertexKind.ARROW),
+            Vertex("K2", VertexKind.ARROW),
+        ], [
+            Edge("H1", "H2", 1, 1),
+            Edge("H2", "H3", 1, 1),
+            Edge("H3", "H1", 1, 1),
+            Edge("K1", "K2", 1, 1),
+        ])
+        assert validate(diagram) == ["NotATree: diagram is disconnected"]
+
     def test_nonpositive_weight(self):
         diagram = SpliceDiagram("X", [
             Vertex("H1", VertexKind.NODE),
