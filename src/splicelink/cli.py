@@ -166,14 +166,16 @@ class Report:
             if f.name == "alexander":
                 # t -> t^2 keeps the graded-lex order, so both arrays walk
                 # Δ's one cached order
-                terms = value.expand().sorted_terms()
+                expanded = value.expand()
+                keys, coeffs = expanded._sorted_keys(), expanded._terms
                 for name, power in (("alexander", 1),
                                     ("sw_basic_classes", 2)):
                     yield '%s  "%s": ' % (separator, name)
-                    for i in range(0, len(terms), _TERM_BLOCK):
+                    for i in range(0, len(keys), _TERM_BLOCK):
                         yield ("[\n" if i == 0 else ",\n") + ",\n".join(
-                            [_TERM_JSON % (power * e1, power * e2, c)
-                             for (e1, e2), c in terms[i:i + _TERM_BLOCK]])
+                            [_TERM_JSON
+                             % (power * e[0], power * e[1], coeffs[e])
+                             for e in keys[i:i + _TERM_BLOCK]])
                     yield "\n  ]"
             else:
                 yield "%s  %s: " % (separator, json.dumps(f.name))

@@ -175,8 +175,12 @@ def alexander_factors(d):
 def alexander_polynomial(d):
     """The symmetrized 2-variable Alexander polynomial of the link: the
     product of alexander_factors, centered and sign-normalized so that
-    the graded-lex-leading coefficient is positive (FactoredDelta.expand)."""
-    return FactoredDelta(alexander_factors(d)).expand()
+    the graded-lex-leading coefficient is positive (FactoredDelta.expand),
+    carrying the factors' zonotope as its Newton polygon."""
+    delta = FactoredDelta(alexander_factors(d))
+    expanded = delta.expand()
+    expanded._hull = delta.newton_polygon()
+    return expanded
 
 
 def closed_form_ray_norm(n, i):

@@ -147,11 +147,11 @@ class LaurentPoly:
         self._order = None
 
     @classmethod
-    def _raw(cls, data):
-        # data must already be normalized (no zero coefficients)
+    def _raw(cls, data, hull=None):
+        # data is normalized (no zero coefficients); hull: its polygon or None
         obj = cls.__new__(cls)
         obj._terms = data
-        obj._hull = None
+        obj._hull = hull
         obj._order = None
         return obj
 
@@ -226,7 +226,8 @@ class LaurentPoly:
         return None
 
     def __neg__(self):
-        return LaurentPoly._raw({e: -c for e, c in self._terms.items()})
+        return LaurentPoly._raw({e: -c for e, c in self._terms.items()},
+                                self._hull)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -305,20 +306,24 @@ class LaurentPoly:
             {(e[0] + off1, e[1] + off2): c for e, c in quot.items()})
 
     def substitute_power(self, k):
-        """Substitute t1 -> t1^k and t2 -> t2^k for a positive integer k."""
+        """Substitute t1 -> t1^k and t2 -> t2^k for a positive integer k.
+        A polygon self already has is scaled by k, not recomputed."""
         if k < 1:
             raise ValueError("power substitution needs k >= 1")
         if k == 1:
             return self
         return LaurentPoly._raw(
-            {(k * e[0], k * e[1]): c for e, c in self._terms.items()})
+            {(k * e[0], k * e[1]): c for e, c in self._terms.items()},
+            self._hull and [(k * e[0], k * e[1]) for e in self._hull])
 
     def shift(self, d1, d2):
-        """Multiply by the monomial t1^d1 t2^d2."""
+        """Multiply by the monomial t1^d1 t2^d2.  A polygon self already
+        has is translated, not recomputed."""
         if d1 == 0 and d2 == 0:
             return self
         return LaurentPoly._raw(
-            {(e[0] + d1, e[1] + d2): c for e, c in self._terms.items()})
+            {(e[0] + d1, e[1] + d2): c for e, c in self._terms.items()},
+            self._hull and [(e[0] + d1, e[1] + d2) for e in self._hull])
 
     def symmetrize(self):
         """Center the support about the origin.
@@ -348,7 +353,8 @@ class LaurentPoly:
     def newton_polygon(self):
         """Convex hull vertices of the support (see convex_hull).
 
-        The hull is computed once and cached.
+        Computed once and cached, or carried: -p, shift, substitute_power
+        map a polygon p has (keeping vertex order); Δ gets its zonotope.
         """
         if not self._terms:
             raise ZeroPolynomial("the zero polynomial has no Newton polygon")

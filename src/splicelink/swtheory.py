@@ -21,7 +21,7 @@ class BasicClassSet:
     """Support of the SW polynomial with coefficients.
 
     ``classes`` and ``coefficients`` run in parallel, ascending graded-lex.
-    The convex hull of the classes is computed once on demand.
+    Their convex hull is computed once on demand, unless basic_classes set it.
     """
 
     def __init__(self, classes, coefficients):
@@ -62,11 +62,14 @@ def sw_polynomial(delta):
 
 
 def basic_classes(sw):
-    """All exponent pairs with nonzero coefficient in the SW polynomial."""
+    """All exponent pairs with nonzero coefficient in the SW polynomial, in
+    its cached order, and its polygon as their hull if it carries one."""
     if not sw:
         raise ZeroPolynomial("the zero polynomial has no basic classes")
-    terms = sw.sorted_terms()
-    return BasicClassSet([e for e, _c in terms], [c for _e, c in terms])
+    classes = sw._sorted_keys()
+    bcs = BasicClassSet(classes, [sw._terms[e] for e in classes])
+    bcs._hull = sw._hull
+    return bcs
 
 
 def sw_norm(bcs, m):

@@ -14,7 +14,7 @@ from splicelink.invariants import (DegenerateForm, IndexOutOfRange, ZeroSlope,
                                    boundary_slope, closed_form_ray_norm,
                                    is_fibered, nonfibered_rays, thurston_norm)
 from splicelink.laurent import (FactoredDelta, LaurentPoly, NotDivisible,
-                                OddSpan)
+                                OddSpan, convex_hull)
 from splicelink.splice import (Edge, SpliceDiagram, Vertex, VertexKind,
                                build_k2n, parse_diagram, render_diagram)
 from splicelink.swtheory import sw_polynomial
@@ -64,8 +64,9 @@ class TestThurstonNorm:
         assert thurston_norm(k4, (0, 0)) == 0
 
     def test_diagonal_against_support_width(self, k4, delta_k4):
-        # independent route: twice the maximal pairing with a hull vertex
-        hull = delta_k4.newton_polygon()
+        # independent route: twice the maximal pairing with a vertex of
+        # the expanded support's hull (delta_k4 carries the factors' walk)
+        hull = convex_hull(delta_k4.support())
         expected = 2 * max(x + y for x, y in hull)
         assert expected == 160
         assert thurston_norm(k4, (1, 1)) == expected
@@ -310,19 +311,21 @@ def hull_outcome(route, d):
 
 class TestFactoredHull:
     """The zonotope walk against two oracles: the Minkowski sum of the
-    factors' polygons, re-hulled once per factor, and the expanded Δ's
-    polygon wherever Δ has at most MAX_TERMS terms."""
+    factors' polygons, re-hulled once per factor, and the hull of the
+    expanded Δ's support wherever Δ has at most MAX_TERMS terms.  Δ and
+    its SW polynomial carry the walk as their polygon, so the oracle
+    hulls their supports directly."""
 
     def assert_routes_agree(self, d):
         got = hull_outcome(factored_hull, d)
         assert got == hull_outcome(minkowski_hull, d)
         delta = hull_outcome(alexander_polynomial, d)
         if isinstance(delta, LaurentPoly):
-            assert got == delta.newton_polygon()
+            assert got == convex_hull(delta.support())
             # one more hull of 3^12 points would add 2.5 s at chain n = 6
             if len(delta) < 3 ** 12:
                 assert [(2 * e1, 2 * e2) for e1, e2 in got] == \
-                    sw_polynomial(delta).newton_polygon()
+                    convex_hull(sw_polynomial(delta).support())
         elif delta[0] != "TooLarge":
             assert got == delta
         return got

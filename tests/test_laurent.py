@@ -412,6 +412,22 @@ def test_derived_polynomials_get_their_own_order(p, q, shift, k):
     assert_order_matches_oracles(p)
 
 
+@given(order_polys.filter(bool), st.tuples(exponents, exponents),
+       st.integers(min_value=1, max_value=3))
+def test_maps_of_the_support_carry_the_polygon(p, shift, k):
+    def derived():
+        q = -p
+        return [q, p.shift(*shift), p.substitute_power(k),
+                (-q).shift(*shift).substitute_power(k)]
+
+    # nothing is hulled for a polynomial that has no polygon yet
+    assert all(q is p or q._hull is None for q in derived())
+    p.newton_polygon()
+    for q in derived():
+        assert q._hull is not None
+        assert q.newton_polygon() == convex_hull(q.support())
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_cached_order_on_the_chain(n):
     assert_order_matches_oracles(alexander_polynomial(build_k2n(n)))

@@ -14,8 +14,10 @@ from splicelink.cli import build_report
 from splicelink.errors import ComputationError
 from splicelink.invariants import (alexander_factors, alexander_polynomial,
                                    thurston_norm)
-from splicelink.laurent import (FactoredDelta, LaurentPoly, OddSpan,
-                                ZeroPolynomial)
+from splicelink import laurent, swtheory
+from splicelink.laurent import (MAX_TERMS, FactoredDelta, LaurentPoly,
+                                OddSpan, TooLarge, ZeroPolynomial,
+                                convex_hull)
 from splicelink.orbits import (face_orbits, lattice_symmetries,
                                min_structure_count)
 from splicelink.polytope import alexander_norm, unit_ball
@@ -35,8 +37,10 @@ class TestSwPolynomial:
         assert sw_polynomial(LaurentPoly.one()) == 1
 
     def test_polygon_doubles(self, delta_k8):
+        # both polygons are carried from the factors; the hull of the SW
+        # polynomial's support is the independent side
         sw = sw_polynomial(delta_k8)
-        assert sw.newton_polygon() == \
+        assert convex_hull(sw.support()) == sw.newton_polygon() == \
             [(2 * x, 2 * y) for x, y in delta_k8.newton_polygon()]
 
     def test_positive_leading_coefficient(self, delta_k2):
@@ -290,6 +294,86 @@ class TestCanonicalClasses:
             balls += 1
             strict += bound < orbits
         assert (balls, strict) == (741, 656)
+
+
+def delta_or_none(d):
+    try:
+        return alexander_polynomial(d)
+    except ComputationError:
+        return None
+
+
+class TestPolygonsFromTheFactors:
+    """Δ carries its factors' zonotope as its polygon, the SW polynomial
+    carries it doubled and the basic classes take it as their hull: each
+    against a fresh hull of the expanded support."""
+
+    @staticmethod
+    def assert_fresh(delta):
+        assert delta.newton_polygon() == convex_hull(delta.support())
+        bcs = basic_classes(sw_polynomial(delta))
+        assert bcs.hull() == convex_hull(bcs.classes)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_chain(self, n):
+        if 3 ** (2 * n) > MAX_TERMS:
+            with pytest.raises(TooLarge):
+                alexander_polynomial(build_k2n(n))
+        else:
+            self.assert_fresh(alexander_polynomial(build_k2n(n)))
+
+    def test_random_diagrams(self):
+        deltas = [delta for delta in map(delta_or_none,
+                                         map(random_diagram, range(400)))
+                  if delta is not None]
+        for delta in deltas:
+            self.assert_fresh(delta)
+        assert len(deltas) == 194
+
+    def test_no_support_is_hulled(self, monkeypatch):
+        def refuse(points):
+            raise AssertionError("convex_hull called")
+
+        monkeypatch.setattr(laurent, "convex_hull", refuse)
+        monkeypatch.setattr(swtheory, "convex_hull", refuse)
+        d = build_k2n(5)
+        delta = alexander_polynomial(d)
+        assert len(delta.newton_polygon()) == 20
+        sw = sw_polynomial(delta)
+        bcs = basic_classes(sw)
+        assert bcs.hull() == sw.newton_polygon()
+        for m in [(1, 1), (3 ** 9, -1), (2, -7)]:
+            assert thurston_norm(d, m) == alexander_norm(delta, m) \
+                == sw_norm(bcs, m)
+
+
+class TestMcMullenOnRandomDiagrams:
+    """thurston_norm equals the Alexander width max - min of m.e over Δ's
+    support (McMullen), on an 11 x 11 class grid, for every random
+    diagram whose factors exist, read as the sum of the factors' widths
+    (widths add under Minkowski sums), so nothing is expanded or
+    centered.  Both sides come from the Eisenbud-Neumann data of the same
+    diagram, so this checks the implementation (quotients, forms, norm),
+    not the theory."""
+
+    def test_grid(self):
+        grid = [(m1, m2) for m1 in range(-5, 6) for m2 in range(-5, 6)]
+        checked = 0
+        for seed in range(2000):
+            d = random_diagram(seed)
+            try:
+                factors = alexander_factors(d)
+            except ComputationError:
+                continue
+            supports = [list(f.support()) for f in factors]
+            for m1, m2 in grid:
+                width = 0
+                for support in supports:
+                    values = [m1 * e1 + m2 * e2 for e1, e2 in support]
+                    width += max(values) - min(values)
+                assert thurston_norm(d, (m1, m2)) == width, (seed, m1, m2)
+            checked += 1
+        assert checked == 1693
 
 
 class TestBasicClassSetValidation:
