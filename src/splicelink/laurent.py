@@ -9,7 +9,7 @@ threads.
 Leading terms, exact division and the canonical term order all use graded
 lexicographic order on (e1, e2).  Like the Newton polygon, the ascending
 term order is computed once per polynomial, on first use, and cached: the
-printed text and ``sorted_terms`` both read that one sort.
+printed text, the report's JSON and the basic classes all read that sort.
 
 ``FactoredDelta`` reads Δ's centering, polygon, term count and text off
 its factors, and refuses, with TooLarge, to expand a product that could
@@ -195,11 +195,6 @@ class LaurentPoly:
         if self._order is None:
             self._order = sorted(self._terms, key=_grlex_key)
         return self._order
-
-    def sorted_terms(self):
-        """Terms as ((e1, e2), coeff) pairs in ascending graded-lex order."""
-        terms = self._terms
-        return [(e, terms[e]) for e in self._sorted_keys()]
 
     def leading_term(self):
         """((e1, e2), coeff) at the graded-lex-largest exponent pair."""
