@@ -10,11 +10,11 @@ import pytest
 from test_splice import random_diagram
 
 import splicelink
+from splicelink import laurent, swtheory
 from splicelink.cli import build_report
 from splicelink.errors import ComputationError
 from splicelink.invariants import (alexander_factors, alexander_polynomial,
                                    thurston_norm)
-from splicelink import laurent, swtheory
 from splicelink.laurent import (MAX_TERMS, FactoredDelta, LaurentPoly,
                                 OddSpan, TooLarge, ZeroPolynomial,
                                 convex_hull)
