@@ -96,27 +96,22 @@ def _write_chunks(path, chunks):
 
 
 def recognize_family(d):
-    """The family parameter n when the diagram is structurally the
-    generated 2n-node chain (same vertex ids, kinds and weighted edges),
-    else None.  Used only to pretty-print polynomials in factored form."""
+    """The family parameter n when the diagram's shape, the set of (id,
+    kind) pairs, the sorted edges as sorted (id, weight) end pairs and the
+    first arrowhead, is the generated 2n-node chain's, else None.  Used
+    only to pretty-print polynomials in factored form."""
     node_count = len(d.nodes)
     if node_count == 0 or node_count % 2:
         return None
+
+    def shape(d):
+        return ({(v.id, v.kind) for v in d.vertices},
+                sorted(sorted([(e.a, e.weight_a), (e.b, e.weight_b)])
+                       for e in d.edges),
+                d.arrowheads[:1])
+
     n = node_count // 2
-    ref = build_k2n(n)
-    if {(v.id, v.kind) for v in d.vertices} != \
-            {(v.id, v.kind) for v in ref.vertices}:
-        return None
-
-    def edge_key(e):
-        return frozenset(((e.a, e.weight_a), (e.b, e.weight_b)))
-
-    if sorted(map(sorted, map(edge_key, d.edges))) != \
-            sorted(map(sorted, map(edge_key, ref.edges))):
-        return None
-    if d.arrowheads[0].id != "K1":
-        return None
-    return n
+    return n if shape(d) == shape(build_k2n(n)) else None
 
 
 def _load_diagram(args):

@@ -107,21 +107,19 @@ def lattice_symmetries(ball):
                 continue
             if {(m.apply(p), n) for p, n in keys} != key_set:
                 continue
-            found.add((m.a, m.b, m.c, m.d))
-    return [LatticeMap(*entries) for entries in sorted(found)]
+            found.add(m)
+    return sorted(found, key=lambda m: m.entries)
 
 
 def _require_group(maps):
-    entries = {(m.a, m.b, m.c, m.d) for m in maps}
-    if (1, 0, 0, 1) not in entries:
+    group = set(maps)
+    if LatticeMap(1, 0, 0, 1) not in group:
         raise NotAGroup("identity is missing")
     for m in maps:
-        inv = m.inverse()
-        if (inv.a, inv.b, inv.c, inv.d) not in entries:
+        if m.inverse() not in group:
             raise NotAGroup("inverse of %s is missing" % (m.entries,))
         for g in maps:
-            comp = m.compose(g)
-            if (comp.a, comp.b, comp.c, comp.d) not in entries:
+            if m.compose(g) not in group:
                 raise NotAGroup("composite of %s and %s is missing"
                                 % (m.entries, g.entries))
 

@@ -88,8 +88,8 @@ def _adjacency(vertices, edges):
 
 
 def _bfs(adj, start):
-    """Parent map of a breadth-first search of `adj` from `start`: every
-    reached vertex maps to the one it was reached from, `start` to None."""
+    """Parent map of a breadth-first search of `adj` from `start`, in the
+    order reached: each vertex maps to its parent, `start` to None."""
     parents = {start: None}
     queue = deque([start])
     while queue:
@@ -171,38 +171,34 @@ class SpliceDiagram:
         """Map from vertex id x to lk(src, x), for every x that the BFS
         from `src` reaches without passing an undeclared id.
 
-        The row is filled during the BFS itself, along the same parent
-        links that `_bfs` gives `path`, so every tree path is the one
-        `path` returns.  Each queued vertex carries its parent and the
-        product of the node weights off the path at the vertices before
-        it, or None beyond an undeclared id; a node x then multiplies in
-        its own weights off the path, which at the far end are all but
-        the one toward its parent.  Cached per source.
+        The row is filled in the order of `_bfs`'s parent map, which
+        `path` reads, so every tree path is the one `path` returns.  A
+        vertex's product of the node weights off the path before it (None
+        beyond an undeclared id) is its parent's times, at a node parent,
+        the weights there toward neither it nor the grandparent; a node x
+        adds its own weights off the path, all but the one to its parent.
         """
         row = self._lk_rows.get(src)
         if row is None:
             adj, by_id = self._adj, self._by_id
             node = VertexKind.NODE
+            parents = _bfs(adj, src)
             row = {}
-            seen = {src}
-            queue = deque([(src, None, 1 if src in by_id else None)])
-            while queue:
-                cur, prev, before = queue.popleft()
-                at_node = before is not None and by_id[cur].kind is node
-                if before is not None:
-                    row[cur] = (before * _weights_off_path(adj, cur, prev, None)
-                                if at_node else before)
-                for nxt, _weight in adj[cur]:
-                    if nxt in seen:
-                        continue
-                    seen.add(nxt)
-                    if before is None or nxt not in by_id:
-                        after = None
-                    elif at_node:
-                        after = before * _weights_off_path(adj, cur, prev, nxt)
-                    else:
-                        after = before
-                    queue.append((nxt, cur, after))
+            before = {}     # vertex -> its product
+            for cur, prev in parents.items():
+                if prev is None:
+                    product = 1 if src in by_id else None
+                else:
+                    product = before[prev]
+                    if product is None or cur not in by_id:
+                        product = None
+                    elif by_id[prev].kind is node:
+                        product *= _weights_off_path(adj, prev, parents[prev],
+                                                     cur)
+                before[cur] = product
+                if product is not None:
+                    row[cur] = (product * _weights_off_path(adj, cur, prev, None)
+                                if by_id[cur].kind is node else product)
             self._lk_rows[src] = row
         return row
 

@@ -11,6 +11,8 @@ from math import hypot, isfinite, log10
 
 from .errors import ComputationError
 
+_PAD = 0.12    # view box margin on each side, a share of the larger span
+
 
 class DegenerateRadius(ComputationError):
     """A ball vertex radius beyond what the log scale can place in floats."""
@@ -20,13 +22,13 @@ def _fmt(x):
     return "%.6f" % (x + 0.0,)
 
 
-def _bbox(points, pad_factor=0.12):
+def _bbox(points):
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
     min_x, max_x = min(xs), max(xs)
     min_y, max_y = min(ys), max(ys)
     span = max(max_x - min_x, max_y - min_y) or 1.0
-    pad = span * pad_factor
+    pad = span * _PAD
     return min_x - pad, min_y - pad, (max_x - min_x) + 2 * pad, \
         (max_y - min_y) + 2 * pad, span
 

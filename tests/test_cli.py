@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -128,10 +129,12 @@ class TestExitCodes:
 
 
 class TestOneProcess:
-    # A success, a usage error (exit 1), a computation error (exit 2), then
+    # Each call runs once as `python -m splicelink` and once through main:
+    # successes, a usage error (exit 1), a computation error (exit 2), then
     # `ball` with and without --svg, so that a leaked --svg would show as
     # a second written file.
-    CALLS = (["lk", "--family", "1"],
+    CALLS = (["alex", "--family", "1"],
+             ["lk", "--family", "1"],
              ["norm", "--family", "1", "-m", "1,"],
              ["slopes", "--family", "1", "-m", "0,0"],
              ["ball", "--family", "2", "--svg", "ball.svg"],
@@ -160,7 +163,7 @@ class TestOneProcess:
                 (proc.returncode, proc.stdout, proc.stderr,
                  self.written(alone)), argv
             results.append(code)
-        assert results == [0, 1, 2, 0, 0]
+        assert results == [0, 0, 1, 2, 0, 0]
 
 
 def run_in_one_gib(argv):
@@ -314,6 +317,24 @@ class TestRecognizeFamily:
         d = parse_diagram(text)
         assert d.arrowheads[0].id == "K2"
         assert recognize_family(d) is None
+
+    def test_reversed_edges_in_shuffled_lines(self):
+        # every edge written from its other end, the lines in a seeded
+        # order, K1 still declared before K2
+        header, *body = render_diagram(build_k2n(3)).splitlines()
+        lines = []
+        for line in body:
+            kw, *rest = line.split()
+            if kw == "edge":
+                a, b, weight_a, weight_b = rest
+                line = "edge %s %s %s %s" % (b, a, weight_b, weight_a)
+            lines.append(line)
+        random.Random(3).shuffle(lines)
+        first, second = sorted(map(lines.index, ["arrow K1", "arrow K2"]))
+        lines[first], lines[second] = "arrow K1", "arrow K2"
+        d = parse_diagram("\n".join([header] + lines))
+        assert not set(d.edges) & set(build_k2n(3).edges)
+        assert recognize_family(d) == 3
 
 
 class TestReport:

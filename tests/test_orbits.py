@@ -216,6 +216,12 @@ class TestFaceOrbits:
         with pytest.raises(NotAGroup):
             face_orbits(ball, [SWAP, MINUS_SWAP])
 
+    def test_missing_inverse(self, k4):
+        # closed under composition with the identity, but the shear's
+        # inverse [[1, -1], [0, 1]] is not among the maps
+        with pytest.raises(NotAGroup, match=r"^inverse of .* is missing$"):
+            face_orbits(unit_ball(k4), [IDENTITY, LatticeMap(1, 1, 0, 1)])
+
     def test_divisibility_constant_on_orbits(self, k8):
         ball = unit_ball(k8)
         part = face_orbits(ball, lattice_symmetries(ball))

@@ -232,6 +232,27 @@ class TestTheChainOverItsFullRange:
                 assert abs(f.coefficient(*order[0])) == \
                     abs(f.coefficient(*order[-1])) == 1, n
 
+    def test_coprime_random_factors_end_in_units(self):
+        """Fibred faces are monic: on the random diagrams with pairwise
+        coprime weights at every node whose factors exist, each factor's
+        lowest and highest graded-lex coefficients are units.  This
+        checks the implementation (the quotients), not the theory."""
+        checked = 0
+        for seed in range(2000):
+            d = random_diagram(seed)
+            if not coprime_at_every_node(d):
+                continue
+            try:
+                factors = alexander_factors(d)
+            except ComputationError:
+                continue
+            for f in factors:
+                order = f._sorted_keys()
+                assert abs(f.coefficient(*order[0])) == \
+                    abs(f.coefficient(*order[-1])) == 1, seed
+            checked += 1
+        assert checked == 127
+
 
 class TestCanonicalClasses:
     def test_k4_divisibilities(self, k4):
