@@ -12,16 +12,14 @@ from .laurent import (LaurentPoly, NotDivisible, OddSpan, TooLarge,
 from .splice import (DiagramSyntaxError, Edge, SpliceDiagram, UnknownVertex,
                      ValidationError, Vertex, VertexKind, build_k2n,
                      linking_number, parse_diagram, render_diagram, validate)
-from .invariants import (BoundarySlope, DegenerateForm, IndexOutOfRange, Ray,
-                         ZeroSlope, alexander_factors, alexander_polynomial,
-                         boundary_slope, closed_form_ray_norm, is_fibered,
-                         nonfibered_rays, thurston_norm)
-from .polytope import (FibredFace, NonIntegerDual, NormBall, SingularSystem,
-                       ZeroVector, alexander_norm, check_duality, divisibility,
-                       dual_vertex, unit_ball)
+from .invariants import (BoundarySlope, DegenerateForm, Ray, ZeroSlope,
+                         alexander_factors, alexander_polynomial,
+                         boundary_slope, is_fibered, nonfibered_rays,
+                         thurston_norm)
+from .polytope import (FibredFace, NormBall, ZeroVector, alexander_norm,
+                       divisibility, unit_ball)
 from .swtheory import (BasicClassSet, CanonicalClass, basic_classes,
-                       canonical_classes, homotopy_k3_check, sw_norm,
-                       sw_polynomial)
+                       canonical_classes, sw_norm, sw_polynomial)
 from .orbits import (LatticeMap, NotAGroup, OrbitPartition, face_orbits,
                      lattice_symmetries, min_structure_count)
 

@@ -29,10 +29,6 @@ class DegenerateForm(ComputationError):
     """A virtual component pairs trivially with both link components."""
 
 
-class IndexOutOfRange(ComputationError):
-    """Ray index outside 1..2n."""
-
-
 class ZeroSlope(ComputationError):
     """The boundary slope vanishes."""
 
@@ -177,30 +173,7 @@ def alexander_polynomial(d):
     product of alexander_factors, centered and sign-normalized so that
     the graded-lex-leading coefficient is positive (FactoredDelta.expand),
     carrying the factors' zonotope as its Newton polygon."""
-    delta = FactoredDelta(alexander_factors(d))
-    expanded = delta.expand()
-    expanded._hull = delta.newton_polygon()
-    return expanded
-
-
-def closed_form_ray_norm(n, i):
-    """Closed-form norm of the i-th non-fibered ray of the 2n-node chain.
-
-    For i <= n the ray is (3^(2n+1-2i), -1); for i >= n+1 it is
-    (1, -3^(2i-1-2n)).  Returns (Ray, norm).
-    """
-    if n < 1 or not 1 <= i <= 2 * n:
-        raise IndexOutOfRange("need 1 <= i <= 2n, got i=%d, n=%d" % (i, n))
-    if i <= n:
-        primitive = (3 ** (2 * n + 1 - 2 * i), -1)
-        norm = (3 ** (4 * n - 2 * i + 1) + 3 ** (2 * n - 2 * i + 1)
-                + 3 ** (2 * n) - 2 * 3 ** (2 * n - i) - 2 * 3 ** (2 * n - i + 1)
-                + 1)
-    else:
-        primitive = (1, -3 ** (2 * i - 1 - 2 * n))
-        norm = (3 ** (2 * i - 1) + 3 ** (2 * i - 2 * n - 1) + 3 ** (2 * n)
-                - 2 * 3 ** i - 2 * 3 ** (i - 1) + 1)
-    return Ray(primitive, norm), norm
+    return FactoredDelta(alexander_factors(d)).expand()
 
 
 def boundary_slope(d, m, i):

@@ -20,7 +20,7 @@ import heapq
 from fractions import Fraction
 from functools import reduce
 from math import prod
-from operator import mul
+from operator import index, mul
 
 from .errors import ComputationError
 
@@ -51,8 +51,8 @@ class OddSpan(ComputationError):
     """
 
     def __init__(self, factors, shift):
-        super().__init__("cannot center: required shift %s is not integral"
-                         % (shift,))
+        super().__init__("cannot center: required shift (%s, %s) is not "
+                         "integral" % shift)
         self.factors = tuple(factors)
         self.shift = shift
 
@@ -134,9 +134,10 @@ class LaurentPoly:
         if terms:
             items = terms.items() if hasattr(terms, "items") else terms
             for exps, coeff in items:
+                key = (index(exps[0]), index(exps[1]))
+                coeff = index(coeff)
                 if not coeff:
                     continue
-                key = (int(exps[0]), int(exps[1]))
                 c = data.get(key, 0) + coeff
                 if c:
                     data[key] = c
@@ -334,17 +335,6 @@ class LaurentPoly:
         s1, s2 = _center([self])
         return self.shift(-s1, -s2), (s1, s2)
 
-    def evaluate(self, a, b):
-        """Exact value at nonzero rationals (a, b), as a Fraction."""
-        a = Fraction(a)
-        b = Fraction(b)
-        if a == 0 or b == 0:
-            raise ValueError("evaluation point must have nonzero coordinates")
-        total = Fraction(0)
-        for (e1, e2), c in self._terms.items():
-            total += c * a ** e1 * b ** e2
-        return total
-
     def newton_polygon(self):
         """Convex hull vertices of the support (see convex_hull).
 
@@ -438,8 +428,9 @@ class FactoredDelta:
         coefficient, built on the first call and kept.  That order is
         translation invariant, so LT(fg) = LT(f) LT(g): the factors are
         multiplied onto the monomial carrying shift and sign, and the
-        product is not scanned again.  Raises TooLarge, before multiplying,
-        when Π len(factor), a bound on the term count, exceeds MAX_TERMS."""
+        product is not scanned again; its polygon is the factors'
+        zonotope.  Raises TooLarge, before multiplying, when Π len(factor),
+        a bound on the term count, exceeds MAX_TERMS."""
         if self._expanded is None:
             bound = prod(len(f) for f in self.factors)
             if bound > MAX_TERMS:
@@ -448,6 +439,7 @@ class FactoredDelta:
             sign = (-1) ** sum(f.leading_term()[1] < 0 for f in self.factors)
             self._expanded = reduce(mul, self.factors, LaurentPoly.monomial(
                 -self.shift[0], -self.shift[1], sign))
+            self._expanded._hull = self.newton_polygon()
         return self._expanded
 
     def text(self, power=1):

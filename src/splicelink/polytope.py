@@ -25,16 +25,8 @@ from .invariants import DegenerateForm, Ray, _forms_by_line
 from .laurent import ZeroPolynomial
 
 
-class SingularSystem(ComputationError):
-    """The two rays bounding a face are proportional."""
-
-
 class ZeroVector(ComputationError):
     """Divisibility of the zero vector is undefined."""
-
-
-class NonIntegerDual(ComputationError):
-    """A dual vertex is not a lattice point."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,24 +56,6 @@ class NormBall:
         them: the ones with positive first nonzero coordinate, by
         decreasing angle."""
         return [r for r in reversed(self.rays) if r.primitive > (0, 0)]
-
-
-def dual_vertex(a, na, b, nb):
-    """The point (x, y) pairing to half the norm with both given rays:
-
-        a1*x + a2*y = na / 2
-        b1*x + b2*y = nb / 2
-
-    solved exactly over the rationals.  Raises SingularSystem when a and b
-    are proportional.  unit_ball reads its dual vertices off the sweep; the
-    tests' ray-by-ray oracle ball (test_polytope.py) solves them with this.
-    """
-    det = a[0] * b[1] - a[1] * b[0]
-    if det == 0:
-        raise SingularSystem("rays %s and %s are proportional" % (a, b))
-    x = Fraction(na * b[1] - a[1] * nb, 2 * det)
-    y = Fraction(a[0] * nb - na * b[0], 2 * det)
-    return (x, y)
 
 
 def unit_ball(d):
@@ -162,24 +136,3 @@ def divisibility(v):
     if x == 0 and y == 0:
         raise ZeroVector("divisibility of (0, 0) is undefined")
     return gcd(x, y)
-
-
-def check_duality(ball, hull):
-    """True iff the dual vertices S_F / 2 of the ball and the given hull
-    vertices coincide as sets of lattice points, one face per vertex.
-
-    Raises NonIntegerDual when some dual vertex is not integral, that is
-    when a coordinate of some S_F is odd.
-    """
-    if not ball.faces or not hull:
-        raise ValueError("need a nonempty ball and a nonempty hull")
-    duals = set()
-    for f in ball.faces:
-        x, y = f.klass
-        if x % 2 or y % 2:
-            raise NonIntegerDual("dual vertex (%s, %s) is not a lattice point"
-                                 % f.dual)
-        duals.add((x // 2, y // 2))
-    if len(duals) != len(ball.faces):
-        return False
-    return duals == {(int(p[0]), int(p[1])) for p in hull}

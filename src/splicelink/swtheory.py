@@ -11,10 +11,8 @@ face is its integer class S_F, twice its dual vertex in the norm ball.
 
 from dataclasses import dataclass
 
-from .laurent import FactoredDelta, ZeroPolynomial, convex_hull
+from .laurent import ZeroPolynomial, convex_hull
 from .polytope import divisibility
-from .invariants import alexander_factors
-from .splice import linking_number
 
 
 class BasicClassSet:
@@ -88,16 +86,6 @@ def is_homotopy_k3(lk12):
     """Homotopy K3, for a link whose Δ exists: lk(K1, K2) is odd.  Every
     basic class is then even, since the SW polynomial is Δ(t1^2, t2^2)."""
     return lk12 % 2 == 1
-
-
-def homotopy_k3_check(d):
-    """True iff is_homotopy_k3 holds and Δ exists.  Δ is not expanded: its
-    factors and centering raise NotDivisible or OddSpan where Δ does."""
-    k1, k2 = d.arrowheads
-    if not is_homotopy_k3(linking_number(d, k1.id, k2.id)):
-        return False
-    FactoredDelta(alexander_factors(d))
-    return True
 
 
 def canonical_classes(ball):

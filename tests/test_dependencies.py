@@ -1,5 +1,6 @@
 """The package imports nothing outside the standard library, every name a
-module imports is used in it, and its frozen dataclasses are slotted."""
+module imports is used in it, every name it exports has a caller outside
+the tests, and its frozen dataclasses are slotted."""
 
 import ast
 import sys
@@ -49,6 +50,33 @@ def test_every_imported_name_is_used():
     assert modules
     for path in modules:
         assert unused_imports(path) == [], path.name
+
+
+def exported_names():
+    """Names splicelink/__init__.py imports to re-export."""
+    tree = ast.parse((ROOT / "src" / "splicelink" / "__init__.py")
+                     .read_text(encoding="utf-8"))
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def read_names(path):
+    """Every name a module reads, as a name or as an attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_every_exported_name_has_a_caller():
+    # the package exports what the command line and the benchmark call;
+    # an oracle only the tests call lives in tests/oracles.py
+    callers = [path
+               for path in sorted((ROOT / "src" / "splicelink").glob("*.py"))
+               if path.name != "__init__.py"]
+    callers += sorted((ROOT / "splicebench").glob("*.py"))
+    read = set().union(*map(read_names, callers))
+    assert sorted(exported_names() - read) == []
 
 
 def test_no_runtime_dependencies_are_declared():

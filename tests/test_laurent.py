@@ -13,6 +13,7 @@ from splicelink.laurent import (FactoredDelta, LaurentPoly, NotDivisible,
                                 OddSpan, TooLarge, ZeroPolynomial, _center,
                                 convex_hull)
 from splicelink.splice import build_k2n
+from oracles import evaluate
 from test_splice import random_diagram
 
 
@@ -67,6 +68,13 @@ class TestConstruction:
         p = LaurentPoly.monomial(-3, -1)
         assert p.coefficient(-3, -1) == 1
 
+    @pytest.mark.parametrize("terms", [{(0.5, 1): 1}, {("2", 1): 1},
+                                       {(1, 1): 0.5}])
+    def test_non_integers_refused(self, terms):
+        # exponents and coefficients are exact integers, never rounded
+        with pytest.raises(TypeError):
+            LaurentPoly(terms)
+
 
 class TestMultiply:
     def test_two_trinomials_give_nine_terms(self):
@@ -101,7 +109,7 @@ class TestExactDivide:
         # any multiple of t2 + 1 vanishes at t2 = -1, but t1 + 1 does not
         p = LaurentPoly({(1, 0): 1, (0, 0): 1})
         q = LaurentPoly({(0, 1): 1, (0, 0): 1})
-        assert p.evaluate(2, -1) != 0
+        assert evaluate(p, 2, -1) != 0
         with pytest.raises(NotDivisible):
             p.exact_divide(q)
 
@@ -154,6 +162,8 @@ class TestSymmetrize:
             p.symmetrize()
         assert reduce(mul, info.value.factors) == p
         assert info.value.shift == (Fraction(1, 2), Fraction(0))
+        assert str(info.value) == \
+            "cannot center: required shift (1/2, 0) is not integral"
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroPolynomial):
@@ -164,18 +174,18 @@ class TestEvaluate:
     def test_product_of_trinomials_at_one(self):
         # each factor contributes 3 at (1, 1)
         p = trinomial(1, 3) * trinomial(3, 1)
-        assert p.evaluate(1, 1) == 9
+        assert evaluate(p, 1, 1) == 9
 
     def test_zero_polynomial(self):
-        assert LaurentPoly.zero().evaluate(2, 3) == 0
+        assert evaluate(LaurentPoly.zero(), 2, 3) == 0
 
     def test_rational_point(self):
         p = LaurentPoly({(1, 0): 1, (-1, 0): 1})
-        assert p.evaluate(Fraction(1, 2), 5) == Fraction(5, 2)
+        assert evaluate(p, Fraction(1, 2), 5) == Fraction(5, 2)
 
     def test_rejects_zero_coordinate(self):
         with pytest.raises(ValueError):
-            trinomial(1, 1).evaluate(0, 1)
+            evaluate(trinomial(1, 1), 0, 1)
 
 
 class TestNewtonPolygon:
@@ -236,7 +246,7 @@ def test_divide_inverts_multiply(p, q):
 @given(polys, polys)
 def test_evaluate_is_multiplicative(p, q):
     a, b = Fraction(3, 2), Fraction(-2, 5)
-    assert (p * q).evaluate(a, b) == p.evaluate(a, b) * q.evaluate(a, b)
+    assert evaluate(p * q, a, b) == evaluate(p, a, b) * evaluate(q, a, b)
 
 
 @given(nonzero_polys, st.integers(min_value=1, max_value=3))
@@ -286,6 +296,16 @@ def test_product_polygon_is_the_expanded_one(factors):
     got = centering_outcome(zonotope_polygon, factors)
     assert got == centering_outcome(_centered_product_polygon, factors)
     assert got == centering_outcome(minkowski_polygon, factors)
+
+
+@given(st.lists(line_polys, max_size=4))
+def test_expansion_carries_its_polygon(factors):
+    try:
+        delta = FactoredDelta(factors).expand()
+    except OddSpan:
+        return
+    assert delta._hull is not None
+    assert delta.newton_polygon() == convex_hull(delta.support())
 
 
 def symmetrized_product(factors):

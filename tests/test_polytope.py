@@ -4,14 +4,14 @@ from pathlib import Path
 import pytest
 from test_splice import random_diagram
 
+from oracles import (NonIntegerDual, SingularSystem, check_duality,
+                     dual_vertex)
 from splicelink import invariants, polytope
 from splicelink.errors import ComputationError
 from splicelink.invariants import DegenerateForm, Ray, nonfibered_rays
 from splicelink.laurent import LaurentPoly, ZeroPolynomial
-from splicelink.polytope import (FibredFace, NonIntegerDual, NormBall,
-                                 SingularSystem, ZeroVector, alexander_norm,
-                                 check_duality, divisibility, dual_vertex,
-                                 unit_ball)
+from splicelink.polytope import (FibredFace, NormBall, ZeroVector,
+                                 alexander_norm, divisibility, unit_ball)
 from splicelink.orbits import face_orbits, lattice_symmetries
 from splicelink.splice import build_k2n, parse_diagram
 from splicelink.swtheory import canonical_classes
@@ -156,8 +156,7 @@ class TestSweepAgainstRayByRay:
             raise AssertionError("the sweep called a ray-by-ray route")
 
         for module, name in [(invariants, "thurston_norm"),
-                             (invariants, "nonfibered_rays"),
-                             (polytope, "dual_vertex")]:
+                             (invariants, "nonfibered_rays")]:
             monkeypatch.setattr(module, name, forbidden)
         assert unit_ball(build_k2n(200)) == expected
 

@@ -23,8 +23,8 @@ from splicelink.orbits import (face_orbits, lattice_symmetries,
 from splicelink.polytope import alexander_norm, unit_ball
 from splicelink.splice import build_k2n, linking_number
 from splicelink.swtheory import (BasicClassSet, basic_classes,
-                                 canonical_classes, homotopy_k3_check,
-                                 sw_norm, sw_polynomial)
+                                 canonical_classes, is_homotopy_k3, sw_norm,
+                                 sw_polynomial)
 
 
 class TestSwPolynomial:
@@ -120,10 +120,20 @@ def coprime_at_every_node(d):
     return True
 
 
+def lk12(d):
+    k1, k2 = d.arrowheads
+    return linking_number(d, k1.id, k2.id)
+
+
 class TestHomotopyK3:
+    """A homotopy K3: Δ exists (its factors and centering raise no error)
+    and lk(K1, K2) is odd."""
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_family(self, n):
-        assert homotopy_k3_check(build_k2n(n))
+        d = build_k2n(n)
+        FactoredDelta(alexander_factors(d))
+        assert is_homotopy_k3(lk12(d))
 
     def test_even_linking_number_fails(self):
         from splicelink.splice import Edge, SpliceDiagram, Vertex, VertexKind
@@ -137,7 +147,7 @@ class TestHomotopyK3:
             Edge("H1", "K1", 1, 1),
             Edge("H1", "K2", 1, 1),
         ])
-        assert not homotopy_k3_check(d)
+        assert not is_homotopy_k3(lk12(d))
 
     def test_checked_from_the_factors_in_bounded_memory(self):
         # Δ of the 16-node chain has 3^16 terms, beyond 1 GiB expanded;
@@ -145,8 +155,13 @@ class TestHomotopyK3:
         def limit_address_space():  # runs in the child only
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-        code = ("from splicelink import build_k2n, homotopy_k3_check\n"
-                "assert homotopy_k3_check(build_k2n(8)) is True\n")
+        code = ("from splicelink.invariants import alexander_factors\n"
+                "from splicelink.laurent import FactoredDelta\n"
+                "from splicelink.splice import build_k2n, linking_number\n"
+                "from splicelink.swtheory import is_homotopy_k3\n"
+                "d = build_k2n(8)\n"
+                "FactoredDelta(alexander_factors(d))\n"
+                "assert is_homotopy_k3(linking_number(d, 'K1', 'K2'))\n")
         src = str(Path(splicelink.__file__).parents[1])
         proc = subprocess.run([sys.executable, "-c", code],
                               env=dict(os.environ, PYTHONPATH=src),
@@ -164,15 +179,13 @@ class TestHomotopyK3:
             d = random_diagram(seed)
             if not coprime_at_every_node(d):
                 continue
-            k1, k2 = d.arrowheads
-            odd = linking_number(d, k1.id, k2.id) % 2 == 1
+            odd = is_homotopy_k3(lk12(d))
             try:
                 FactoredDelta(alexander_factors(d))
                 outcome = "delta"
             except OddSpan:
                 outcome = "OddSpan"
             assert outcome == ("delta" if odd else "OddSpan")
-            assert homotopy_k3_check(d) == odd
             tally[outcome] = tally.get(outcome, 0) + 1
         assert tally == {"delta": 98, "OddSpan": 29}
 
@@ -191,7 +204,7 @@ class TestHomotopyK3:
                 report = build_report(d, None, None)
             except ComputationError:
                 continue
-            assert report.homotopy_k3 == homotopy_k3_check(d), d.name
+            assert report.homotopy_k3 == is_homotopy_k3(lk12(d)), d.name
             tally[report.homotopy_k3] = tally.get(report.homotopy_k3, 0) + 1
         assert tally == {True: 21, False: 50}
 
@@ -205,7 +218,8 @@ class TestTheChainOverItsFullRange:
     def test_papers_count(self):
         for n in range(1, 201):
             d = build_k2n(n)
-            assert homotopy_k3_check(d), n
+            FactoredDelta(alexander_factors(d))
+            assert is_homotopy_k3(lk12(d)), n
             assert min_structure_count(d) == n + 1, n
 
     def test_torres_coefficient_sums(self):
@@ -332,9 +346,14 @@ class TestPolygonsFromTheFactors:
 
     @staticmethod
     def assert_fresh(delta):
-        assert delta.newton_polygon() == convex_hull(delta.support())
+        # the basic classes are Δ's exponents doubled and hull(2S) =
+        # 2 hull(S), vertex order included, so the support is hulled once
+        fresh = convex_hull(delta.support())
+        assert delta.newton_polygon() == fresh
         bcs = basic_classes(sw_polynomial(delta))
-        assert bcs.hull() == convex_hull(bcs.classes)
+        assert bcs.classes == [(2 * x, 2 * y)
+                               for x, y in delta._sorted_keys()]
+        assert bcs.hull() == [(2 * x, 2 * y) for x, y in fresh]
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_chain(self, n):
