@@ -25,7 +25,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
 from .errors import ComputationError
 from .invariants import (alexander_factors, boundary_slope, is_fibered,
@@ -126,8 +126,8 @@ def _load_diagram(args):
 
 # --------------------------------------------------------------------- report
 
-@dataclass
-class Report:
+class Report(namedtuple("Report", "diagram family_n lk rays faces alexander "
+                               "canonical_classes orbit_count homotopy_k3")):
     """Machine-readable summary of every computed invariant.
 
     ``alexander`` is Δ as its FactoredDelta.  In the JSON all potentially
@@ -135,15 +135,7 @@ class Report:
     triples in ascending graded-lex order, written twice: as ``alexander``
     and, exponents doubled, as ``sw_basic_classes`` (SW = Δ(t1^2, t2^2)).
     """
-    diagram: str
-    family_n: object
-    lk: dict
-    rays: list
-    faces: list
-    alexander: FactoredDelta
-    canonical_classes: list
-    orbit_count: int
-    homotopy_k3: bool
+    __slots__ = ()
 
     def json_chunks(self):
         """The JSON text in pieces, the one source of its bytes: the fields
@@ -156,16 +148,15 @@ class Report:
         template, a block of terms per chunk; every other field goes
         through json.dumps and is indented one level deeper."""
         separator = "{\n"
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "alexander":
+        for name, value in zip(self._fields, self):
+            if name == "alexander":
                 # t -> t^2 keeps the graded-lex order, so both arrays walk
                 # Δ's one cached order
                 expanded = value.expand()
                 keys, coeffs = expanded._sorted_keys(), expanded._terms
-                for name, power in (("alexander", 1),
-                                    ("sw_basic_classes", 2)):
-                    yield '%s  "%s": ' % (separator, name)
+                for array, power in (("alexander", 1),
+                                     ("sw_basic_classes", 2)):
+                    yield '%s  "%s": ' % (separator, array)
                     for i in range(0, len(keys), _TERM_BLOCK):
                         yield ("[\n" if i == 0 else ",\n") + ",\n".join(
                             [_TERM_JSON
@@ -173,7 +164,7 @@ class Report:
                              for e in keys[i:i + _TERM_BLOCK]])
                     yield "\n  ]"
             else:
-                yield "%s  %s: " % (separator, json.dumps(f.name))
+                yield "%s  %s: " % (separator, json.dumps(name))
                 yield json.dumps(value, indent=2).replace("\n", "\n  ")
             separator = ",\n"
         yield "\n}\n"

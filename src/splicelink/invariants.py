@@ -16,7 +16,7 @@ degrees, via the standard weighted-tree formulas of splice calculus:
   polynomial exactly when each line's quotient is (alexander_factors).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cmp_to_key
 from math import gcd
 
@@ -33,25 +33,21 @@ class ZeroSlope(ComputationError):
     """The boundary slope vanishes."""
 
 
-@dataclass(frozen=True, slots=True)
-class Ray:
-    """A primitive lattice direction together with its norm."""
-    primitive: tuple
-    norm: int
+class Ray(namedtuple("Ray", "primitive norm")):
+    """A primitive lattice direction (an integer pair) together with its
+    integer norm."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class BoundarySlope:
+class BoundarySlope(namedtuple("BoundarySlope",
+                               "component_index meridian_coeff "
+                               "longitude_coeff divisibility beta_primitive")):
     """The cable curve cut out on one boundary torus by a fibration class.
 
     Coordinates are taken in the (meridian, longitude) basis of the
     component; the slope factors as divisibility * beta_primitive.
     """
-    component_index: int
-    meridian_coeff: int
-    longitude_coeff: int
-    divisibility: int
-    beta_primitive: tuple
+    __slots__ = ()
 
 
 def is_fibered(d, m):

@@ -368,7 +368,10 @@ class FactoredDelta:
     """Δ as the factors alexander_factors gives, one per kernel line and
     each lying on its line (Eisenbud & Neumann).  Hull, term count and text
     are read off them; only ``expand`` multiplies them, once.  The
-    constructor centers, so it raises OddSpan where symmetrize would."""
+    constructor centers, so it raises OddSpan where symmetrize would.
+    Nothing checks that each factor lies on a line: for a factor that
+    does not, ``newton_polygon`` and the polygon ``expand`` gives its
+    product are unspecified."""
 
     __slots__ = ("factors", "shift", "_expanded")
 

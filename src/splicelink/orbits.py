@@ -15,7 +15,7 @@ of inequivalent symplectic structures on the associated link-surgery
 realizable actions).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ComputationError
 from .polytope import unit_ball
@@ -25,13 +25,9 @@ class NotAGroup(ComputationError):
     """The supplied maps are not closed under composition and inverse."""
 
 
-@dataclass(frozen=True, slots=True)
-class LatticeMap:
+class LatticeMap(namedtuple("LatticeMap", "a b c d")):
     """A 2x2 integer matrix (a, b; c, d) of determinant +-1."""
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
 
     @property
     def entries(self):
@@ -59,11 +55,10 @@ class LatticeMap:
                           -self.c * det, self.a * det)
 
 
-@dataclass(frozen=True, slots=True)
-class OrbitPartition:
-    """Face index -> orbit label, labels numbered in face order."""
-    face_labels: dict
-    orbit_count: int
+class OrbitPartition(namedtuple("OrbitPartition", "face_labels orbit_count")):
+    """Face index -> orbit label (the dict ``face_labels``), labels numbered
+    in face order, and the number of orbits."""
+    __slots__ = ()
 
 
 def lattice_symmetries(ball):

@@ -16,7 +16,7 @@ face stores, as two ints; its dual vertex, the point pairing to half the
 norm with both of its rays, is S_F / 2, derived only where it is printed.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -29,13 +29,10 @@ class ZeroVector(ComputationError):
     """Divisibility of the zero vector is undefined."""
 
 
-@dataclass(frozen=True, slots=True)
-class FibredFace:
+class FibredFace(namedtuple("FibredFace", "ray_lo ray_hi klass")):
     """A top-dimensional face of the unit ball, between two adjacent rays,
     with its integer class S_F (``klass``), twice the dual vertex."""
-    ray_lo: Ray
-    ray_hi: Ray
-    klass: tuple
+    __slots__ = ()
 
     @property
     def dual(self):
@@ -44,12 +41,10 @@ class FibredFace:
         return (Fraction(x, 2), Fraction(y, 2))
 
 
-@dataclass(frozen=True, slots=True)
-class NormBall:
+class NormBall(namedtuple("NormBall", "rays faces")):
     """The unit ball of the norm: all signed rays in cyclic order and one
     fibered face per adjacent pair.  Centrally symmetric by construction."""
-    rays: tuple
-    faces: tuple
+    __slots__ = ()
 
     def nonfibered_rays(self):
         """The rays `unit_ball` was built from, as `nonfibered_rays` gives

@@ -25,8 +25,7 @@ on the tree path joining them, of the node-end weights of the edges incident
 to that node but not lying on the path.
 """
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from enum import Enum
 from functools import cached_property
 
@@ -63,18 +62,15 @@ class VertexKind(Enum):
 _KINDS = {kind.value: kind for kind in VertexKind}
 
 
-@dataclass(frozen=True, slots=True)
-class Vertex:
-    id: str
-    kind: VertexKind
+class Vertex(namedtuple("Vertex", "id kind")):
+    """A vertex id (str) with its VertexKind."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
-    a: str
-    b: str
-    weight_a: int
-    weight_b: int
+class Edge(namedtuple("Edge", "a b weight_a weight_b")):
+    """An edge between vertex ids a and b, with the integer weight at each
+    end."""
+    __slots__ = ()
 
 
 def _adjacency(vertices, edges):
@@ -252,14 +248,13 @@ def validate(d):
     ArrowheadCount, LeafDegree, NotATree."""
     problems = []
 
-    seen = set()
+    ids = set()
     for v in d.vertices:
-        if v.id in seen:
+        if v.id in ids:
             problems.append("DuplicateId: vertex id %r declared more than once"
                             % v.id)
-        seen.add(v.id)
+        ids.add(v.id)
 
-    ids = {v.id for v in d.vertices}
     usable = []
     for e in d.edges:
         if e.a not in ids or e.b not in ids:

@@ -9,7 +9,7 @@ the maximal pairing with a basic class; the canonical class of a fibered
 face is its integer class S_F, twice its dual vertex in the norm ball.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .laurent import ZeroPolynomial, convex_hull
 from .polytope import divisibility
@@ -40,13 +40,10 @@ class BasicClassSet:
         return list(self._hull)
 
 
-@dataclass(frozen=True, slots=True)
-class CanonicalClass:
+class CanonicalClass(namedtuple("CanonicalClass", "face klass divisibility")):
     """Canonical class attached to a fibered face: its class S_F, twice
     its dual vertex, which pairs positively with the face's own cone."""
-    face: object
-    klass: tuple
-    divisibility: int
+    __slots__ = ()
 
 
 def sw_polynomial(delta):

@@ -7,7 +7,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -382,12 +381,12 @@ class TestReport:
     @staticmethod
     def assert_json_matches_asdict(report):
         """The joined JSON chunks against json.dumps of a plain dict built
-        here: asdict for every field but Δ, and both term arrays from a
+        here: _asdict for every field but Δ, and both term arrays from a
         sort of Δ's terms of this test's own."""
         terms = sorted(report.alexander.expand().items(),
                        key=lambda t: (t[0][0] + t[0][1], t[0][0], t[0][1]))
         plain = {}
-        for key, value in asdict(report).items():
+        for key, value in report._asdict().items():
             if key == "alexander":
                 plain["alexander"] = [[e1, e2, str(c)]
                                       for (e1, e2), c in terms]

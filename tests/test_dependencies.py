@@ -1,10 +1,15 @@
 """The package imports nothing outside the standard library, every name a
 module imports is used in it, every name it exports has a caller outside
-the tests, and its frozen dataclasses are slotted."""
+the tests, its value types are slotted immutable tuples, and importing its
+command line loads no introspection modules."""
 
 import ast
+import importlib
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).parents[1]
 
@@ -84,27 +89,61 @@ def test_no_runtime_dependencies_are_declared():
     assert "dependencies = []" in text.splitlines()
 
 
-def unslotted_frozen_dataclasses(path):
-    """Names of the classes in a module decorated @dataclass(frozen=True,
-    ...) without slots=True."""
-    found = []
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if not isinstance(node, ast.ClassDef):
+# the value types: namedtuple subclasses that declare __slots__ = ()
+VALUE_TYPES = {"splice": ("Vertex", "Edge"),
+               "invariants": ("Ray", "BoundarySlope"),
+               "polytope": ("FibredFace", "NormBall"),
+               "swtheory": ("CanonicalClass",),
+               "orbits": ("LatticeMap", "OrbitPartition"),
+               "cli": ("Report",)}
+
+
+def value_types():
+    """Every tuple subclass with named fields that a module of the package
+    defines (__main__ runs the command line, so it is not imported); it
+    must include the VALUE_TYPES."""
+    found = {}
+    for path in sorted((ROOT / "src" / "splicelink").glob("*.py")):
+        if path.stem == "__main__":
             continue
-        for dec in node.decorator_list:
-            if isinstance(dec, ast.Call) and ast.unparse(dec.func) in (
-                    "dataclass", "dataclasses.dataclass"):
-                flags = {k.arg: getattr(k.value, "value", None)
-                         for k in dec.keywords}
-                if flags.get("frozen") is True \
-                        and flags.get("slots") is not True:
-                    found.append(node.name)
+        module = importlib.import_module("splicelink." + path.stem)
+        for name, obj in vars(module).items():
+            if isinstance(obj, type) and issubclass(obj, tuple) \
+                    and hasattr(obj, "_fields") \
+                    and obj.__module__ == module.__name__:
+                found[module.__name__, name] = obj
+    named = {("splicelink." + mod, name)
+             for mod, names in VALUE_TYPES.items() for name in names}
+    assert named <= found.keys()
     return found
 
 
-def test_frozen_dataclasses_are_slotted():
+def test_value_types_are_slotted_and_immutable():
     # a slotted instance has no __dict__, which is most of its memory
-    modules = sorted((ROOT / "src" / "splicelink").glob("*.py"))
-    assert modules
-    for path in modules:
-        assert unslotted_frozen_dataclasses(path) == [], path.name
+    for (mod, name), cls in value_types().items():
+        value = cls(*range(len(cls._fields)))
+        assert not hasattr(value, "__dict__"), (mod, name)
+        with pytest.raises(AttributeError):
+            setattr(value, cls._fields[0], -1)
+        with pytest.raises(AttributeError):
+            value.extra = -1
+        assert hash(value) == hash(tuple(range(len(cls._fields))))
+
+
+def test_no_module_imports_dataclasses_or_typing():
+    for path in sorted((ROOT / "src" / "splicelink").glob("*.py")):
+        assert not {"dataclasses", "typing"} & set(imported_roots(path)), \
+            path.name
+
+
+def test_cli_import_loads_no_introspection_modules():
+    # each CLI run pays its imports; dataclasses would pull in inspect,
+    # ast, dis and tokenize
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import splicelink.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} "
+            "& set(sys.modules)))")
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, str(ROOT / "src")],
+        capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"

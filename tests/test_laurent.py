@@ -1,5 +1,6 @@
 from fractions import Fraction
 from functools import reduce
+from math import gcd
 from operator import mul
 
 import pytest
@@ -308,6 +309,38 @@ def test_expansion_carries_its_polygon(factors):
     assert delta.newton_polygon() == convex_hull(delta.support())
 
 
+def cyclotomic_line(shift, w, gs):
+    """t^shift · Π (t^(g·w) − 1) over g in gs: a polynomial on the line
+    through t^shift along w, as each Alexander factor is one on its
+    kernel line."""
+    poly = LaurentPoly.monomial(*shift)
+    for g in gs:
+        poly = poly * LaurentPoly({(g * w[0], g * w[1]): 1, (0, 0): -1})
+    return poly
+
+
+small = st.integers(min_value=-3, max_value=3)
+cyclotomic_lines = st.builds(
+    cyclotomic_line, st.tuples(exponents, exponents),
+    st.tuples(small, small).filter(lambda w: gcd(*w) == 1),
+    st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=3))
+
+
+@given(st.lists(cyclotomic_lines, min_size=1, max_size=4))
+def test_cyclotomic_factors_give_the_expanded_polygon_and_count(factors):
+    # t^w - 1, w the parities of the spans, makes both spans even, so the
+    # product centers
+    parities = [sum(max(e[k] for e in f.support())
+                    - min(e[k] for e in f.support()) for f in factors) % 2
+                for k in (0, 1)]
+    if any(parities):
+        factors.append(cyclotomic_line((0, 0), parities, [1]))
+    delta = FactoredDelta(factors)
+    product = delta.expand()
+    assert product.newton_polygon() == convex_hull(product.support())
+    assert delta.term_count() == len(product)
+
+
 def symmetrized_product(factors):
     """Oracle: expand the product, center it with symmetrize, and negate
     it when its leading coefficient is negative."""
@@ -330,7 +363,9 @@ def centering_outcome(route, factors):
 @given(st.lists(nonzero_polys, min_size=1, max_size=4))
 def test_centered_product_is_the_expanded_one(factors):
     # the coefficient and exponent ranges give negative leading
-    # coefficients and odd spans, which no parsed diagram's factors have
+    # coefficients and odd spans, which no parsed diagram's factors have.
+    # Only the centering and sign are checked: these factors need not lie
+    # on lines, so the polygon FactoredDelta gives them is unspecified
     assert centering_outcome(expanded, factors) == \
         centering_outcome(symmetrized_product, factors)
 

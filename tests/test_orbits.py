@@ -305,7 +305,8 @@ class TestFaceOrbitsAgainstPairKeys:
         tally = {}
         for _name, ball in ALL_BALLS:
             got = orbit_outcome(face_orbits, ball, ORDER_FOUR)
-            kind = got[0] if isinstance(got, tuple) else "partition"
+            # a partition is a tuple too, so test for it by its own type
+            kind = "partition" if isinstance(got, OrbitPartition) else got[0]
             tally[kind] = tally.get(kind, 0) + 1
         assert tally == {"partition": 53, "ValueError": 151}
 
