@@ -11,7 +11,7 @@ from .laurent import (LaurentPoly, NotDivisible, OddSpan, TooLarge,
                       ZeroPolynomial)
 from .splice import (DiagramSyntaxError, Edge, SpliceDiagram, UnknownVertex,
                      ValidationError, Vertex, VertexKind, build_k2n,
-                     linking_number, parse_diagram, render_diagram, validate)
+                     linking_number, parse_diagram, render_diagram)
 from .invariants import (BoundarySlope, DegenerateForm, Ray, ZeroSlope,
                          alexander_factors, alexander_polynomial,
                          boundary_slope, is_fibered, nonfibered_rays,

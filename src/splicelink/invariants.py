@@ -14,6 +14,10 @@ degrees, via the standard weighted-tree formulas of splice calculus:
   built one kernel line at a time: binomials of distinct primitive
   directions share no irreducible factor, so the product is a Laurent
   polynomial exactly when each line's quotient is (alexander_factors).
+
+A SpliceDiagram is valid by construction, so every weight is at least 1
+and every lk(K_i, v), a product of weights, is too: no form is zero, and
+every form has a kernel line.
 """
 
 from collections import namedtuple
@@ -26,7 +30,8 @@ from .splice import linking_number
 
 
 class DegenerateForm(ComputationError):
-    """A virtual component pairs trivially with both link components."""
+    """The norm unit ball is not a bounded polygon: the diagram has no
+    non-fibered ray, or a ray of norm 0."""
 
 
 class ZeroSlope(ComputationError):
@@ -92,10 +97,7 @@ def _forms_by_line(d):
     coordinate), in decreasing-angle order."""
     lines = {}
     for form in d.virtual_forms():
-        v, a, b, _deg = form
-        if a == 0 and b == 0:
-            raise DegenerateForm("virtual component %r pairs trivially with "
-                                 "both link components" % v.id)
+        _v, a, b, _deg = form
         lines.setdefault(_normalize_direction(b, -a), []).append(form)
     order = sorted(lines, key=cmp_to_key(_descending_angle))
     return {p: lines[p] for p in order}

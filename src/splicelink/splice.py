@@ -16,8 +16,10 @@ Diagrams are written in a line-oriented DSL (UTF-8, ``#`` starts a comment):
     edge <idA> <idB> <weight_at_A> <weight_at_B>
 
 Arrowheads are numbered K1, K2 in declaration order.  A valid diagram is a
-tree with exactly two arrowheads, and arrowheads and boundary vertices must
-be leaves.
+tree with exactly two arrowheads, arrowheads and boundary vertices are
+leaves, and every weight is positive.  Constructing a SpliceDiagram checks
+this and raises ValidationError otherwise, so every function here and in
+the later stages works on valid diagrams only.
 
 Linking numbers follow the classical splice-calculus path rule: the linking
 number of two (possibly virtual) components is the product, over all nodes
@@ -27,7 +29,6 @@ to that node but not lying on the path.
 
 from collections import deque, namedtuple
 from enum import Enum
-from functools import cached_property
 
 from .errors import ComputationError
 
@@ -73,19 +74,10 @@ class Edge(namedtuple("Edge", "a b weight_a weight_b")):
     __slots__ = ()
 
 
-def _adjacency(vertices, edges):
-    """Vertex id -> [(neighbour id, weight at this end)], with an entry
-    for every declared vertex and every edge end."""
-    adj = {v.id: [] for v in vertices}
-    for e in edges:
-        adj.setdefault(e.a, []).append((e.b, e.weight_a))
-        adj.setdefault(e.b, []).append((e.a, e.weight_b))
-    return adj
-
-
 def _bfs(adj, start):
     """Parent map of a breadth-first search of `adj` from `start`, in the
-    order reached: each vertex maps to its parent, `start` to None."""
+    order reached: each vertex maps to its parent, `start` to None.  The
+    constructor reads the set of reached ids, the linking rows the map."""
     parents = {start: None}
     queue = deque([start])
     while queue:
@@ -110,28 +102,75 @@ def _weights_off_path(adj, vid, prev, nxt):
 class SpliceDiagram:
     """A named weighted tree of nodes, boundary vertices and arrowheads.
 
-    Instances are treated as immutable after construction; derived data
-    is computed once and cached: the adjacency map (vertex id to its
-    (neighbour id, weight at this end) pairs), built on first use so that
-    invalid diagrams can still be constructed and validated, the linking
-    numbers lk(src, x) of every reached x, one row per source vertex src
-    that has been asked for, the linking forms of the virtual
-    components and the arrowheads.
+    The constructor runs the structural checks and raises ValidationError,
+    carrying every violation, unless the vertices and edges form a valid
+    diagram.  Codes: DuplicateId, UnknownVertex, NonpositiveWeight,
+    ArrowheadCount, LeafDegree, NotATree.  The same pass builds the
+    adjacency map (vertex id to its (neighbour id, weight at this end)
+    pairs), so it is built once.  Instances are treated as immutable; the
+    linking numbers lk(src, x) of every x, one row per source vertex src
+    that has been asked for, and the linking forms of the virtual
+    components are computed on first use and cached.
     """
 
     def __init__(self, name, vertices, edges):
         self.name = name
         self.vertices = list(vertices)
         self.edges = list(edges)
-        self._by_id = {}
+        problems = []
+        by_id = {}
+        adj = {}
         for v in self.vertices:
-            self._by_id.setdefault(v.id, v)
+            if v.id in by_id:
+                problems.append("DuplicateId: vertex id %r declared more "
+                                "than once" % v.id)
+            by_id[v.id] = v
+            adj[v.id] = []
+
+        usable = 0
+        for a, b, weight_a, weight_b in self.edges:
+            if a not in by_id or b not in by_id:
+                missing = [x for x in (a, b) if x not in by_id]
+                problems.append("UnknownVertex: edge %s-%s references "
+                                "undeclared %s" % (a, b, ", ".join(
+                                    repr(x) for x in missing)))
+            elif a == b:
+                problems.append("NotATree: self-loop at %r" % a)
+            else:
+                adj[a].append((b, weight_a))
+                adj[b].append((a, weight_b))
+                usable += 1
+            if weight_a < 1 or weight_b < 1:
+                problems.append("NonpositiveWeight: edge %s-%s carries "
+                                "weights (%d, %d)"
+                                % (a, b, weight_a, weight_b))
+
+        self.arrowheads = tuple(v for v in self.vertices
+                                if v.kind is VertexKind.ARROW)
+        if len(self.arrowheads) != 2:
+            problems.append("ArrowheadCount: expected 2 arrowheads, found %d"
+                            % len(self.arrowheads))
+
+        for v in self.vertices:
+            if v.kind is not VertexKind.NODE and len(adj[v.id]) != 1:
+                problems.append("LeafDegree: %s %r has degree %d, leaves must "
+                                "have degree 1"
+                                % (v.kind.value, v.id, len(adj[v.id])))
+
+        if not self.vertices:
+            problems.append("NotATree: empty diagram")
+        elif usable != len(by_id) - 1:
+            problems.append("NotATree: %d vertices need %d edges, found %d"
+                            % (len(by_id), len(by_id) - 1, usable))
+        elif _bfs(adj, self.vertices[0].id).keys() != by_id.keys():
+            problems.append("NotATree: diagram is disconnected")
+
+        if problems:
+            raise ValidationError(problems)
+        self._by_id = by_id
+        self._adj = adj
         self._lk_rows = {}
         self._forms = None
-
-    @cached_property
-    def _adj(self):
-        return _adjacency(self.vertices, self.edges)
 
     def vertex(self, vid):
         try:
@@ -140,39 +179,19 @@ class SpliceDiagram:
             raise UnknownVertex("no vertex %r in diagram %r"
                                 % (vid, self.name)) from None
 
-    @cached_property
-    def arrowheads(self):
-        return tuple(v for v in self.vertices if v.kind is VertexKind.ARROW)
-
     @property
     def nodes(self):
         return [v for v in self.vertices if v.kind is VertexKind.NODE]
 
-    def path(self, start, goal):
-        """Vertex ids along the unique tree path, endpoints included.
-        Raises ValidationError when no path joins them.  `linking_number`
-        calls it only to report the error of a pair its row misses."""
-        self.vertex(start)
-        self.vertex(goal)
-        parents = _bfs(self._adj, start)
-        if goal not in parents:
-            raise ValidationError(["NotATree: diagram is disconnected"])
-        out = []
-        while goal is not None:
-            out.append(goal)
-            goal = parents[goal]
-        return out[::-1]
-
     def _lk_from(self, src):
-        """Map from vertex id x to lk(src, x), for every x that the BFS
-        from `src` reaches without passing an undeclared id.
+        """Map from vertex id x to lk(src, x), for every x.
 
-        The row is filled in the order of `_bfs`'s parent map, which
-        `path` reads, so every tree path is the one `path` returns.  A
-        vertex's product of the node weights off the path before it (None
-        beyond an undeclared id) is its parent's times, at a node parent,
-        the weights there toward neither it nor the grandparent; a node x
-        adds its own weights off the path, all but the one to its parent.
+        The row is filled in the order of `_bfs`'s parent map, so each
+        vertex comes after its parent on the tree path from `src`.  A
+        vertex's product of the node weights off the path before it is its
+        parent's times, at a node parent, the weights there toward neither
+        it nor the grandparent; a node x adds its own weights off the
+        path, all but the one to its parent.
         """
         row = self._lk_rows.get(src)
         if row is None:
@@ -183,18 +202,15 @@ class SpliceDiagram:
             before = {}     # vertex -> its product
             for cur, prev in parents.items():
                 if prev is None:
-                    product = 1 if src in by_id else None
+                    product = 1
                 else:
                     product = before[prev]
-                    if product is None or cur not in by_id:
-                        product = None
-                    elif by_id[prev].kind is node:
+                    if by_id[prev].kind is node:
                         product *= _weights_off_path(adj, prev, parents[prev],
                                                      cur)
                 before[cur] = product
-                if product is not None:
-                    row[cur] = (product * _weights_off_path(adj, cur, prev, None)
-                                if by_id[cur].kind is node else product)
+                row[cur] = (product * _weights_off_path(adj, cur, prev, None)
+                            if by_id[cur].kind is node else product)
             self._lk_rows[src] = row
         return row
 
@@ -224,7 +240,9 @@ def linking_number(d, v, w):
     not on the path, that is, of every edge to a neighbour other than the
     node's path neighbours.  The whole row lk(v, .) is computed by one
     pass on the first call from v and cached on the diagram, so later
-    calls from v are lookups, and the vertex checks run only on a miss.
+    calls from v are lookups.  The vertex checks run only on a miss;
+    they raise UnknownVertex for an undeclared id, the only id a row
+    lacks.
     """
     if v == w:
         raise ValueError("linking number needs two distinct vertices")
@@ -233,71 +251,26 @@ def linking_number(d, v, w):
         return row[w]
     d.vertex(v)
     d.vertex(w)
-    row = d._lk_from(v)
-    if w not in row:
-        # No path, or an undeclared id on it: path() raises ValidationError
-        # for the first, vertex() UnknownVertex at the first such id.
-        for vid in d.path(v, w):
-            d.vertex(vid)
-    return row[w]
+    return d._lk_from(v)[w]
 
 
-def validate(d):
-    """Structural checks; returns a list of violation strings (empty when
-    valid).  Codes: DuplicateId, UnknownVertex, NonpositiveWeight,
-    ArrowheadCount, LeafDegree, NotATree."""
-    problems = []
-
-    ids = set()
-    for v in d.vertices:
-        if v.id in ids:
-            problems.append("DuplicateId: vertex id %r declared more than once"
-                            % v.id)
-        ids.add(v.id)
-
-    usable = []
-    for e in d.edges:
-        if e.a not in ids or e.b not in ids:
-            missing = [x for x in (e.a, e.b) if x not in ids]
-            problems.append("UnknownVertex: edge %s-%s references undeclared %s"
-                            % (e.a, e.b, ", ".join(repr(x) for x in missing)))
-        elif e.a == e.b:
-            problems.append("NotATree: self-loop at %r" % e.a)
-        else:
-            usable.append(e)
-        if e.weight_a < 1 or e.weight_b < 1:
-            problems.append("NonpositiveWeight: edge %s-%s carries weights "
-                            "(%d, %d)" % (e.a, e.b, e.weight_a, e.weight_b))
-
-    arrows = [v for v in d.vertices if v.kind is VertexKind.ARROW]
-    if len(arrows) != 2:
-        problems.append("ArrowheadCount: expected 2 arrowheads, found %d"
-                        % len(arrows))
-
-    adj = (d._adj if len(usable) == len(d.edges)
-           else _adjacency(d.vertices, usable))
-    for v in d.vertices:
-        degree = len(adj[v.id])
-        if v.kind is not VertexKind.NODE and degree != 1:
-            problems.append("LeafDegree: %s %r has degree %d, leaves must "
-                            "have degree 1" % (v.kind.value, v.id, degree))
-
-    if not d.vertices:
-        problems.append("NotATree: empty diagram")
-    elif len(usable) != len(ids) - 1:
-        problems.append("NotATree: %d vertices need %d edges, found %d"
-                        % (len(ids), len(ids) - 1, len(usable)))
-    elif _bfs(adj, d.vertices[0].id).keys() != ids:
-        problems.append("NotATree: diagram is disconnected")
-
-    return problems
+def validate(vertices, edges):
+    """The violation strings that SpliceDiagram(name, vertices, edges)
+    raises in its ValidationError, in that order; empty when the vertices
+    and edges form a valid diagram."""
+    try:
+        SpliceDiagram(None, vertices, edges)
+    except ValidationError as error:
+        return error.violations
+    return []
 
 
 def parse_diagram(text):
-    """Parse DSL text into a validated SpliceDiagram.
+    """Parse DSL text into a SpliceDiagram.
 
-    Raises DiagramSyntaxError on malformed lines and ValidationError when
-    the described graph is not a valid diagram.
+    Raises DiagramSyntaxError on malformed lines and, from the
+    constructor, ValidationError when the described graph is not a valid
+    diagram.
     """
     name = None
     vertices = []
@@ -339,11 +312,7 @@ def parse_diagram(text):
             raise DiagramSyntaxError(lineno, "unknown directive %r" % kw)
     if name is None:
         raise DiagramSyntaxError(last_line + 1, "missing 'diagram' header")
-    d = SpliceDiagram(name, vertices, edges)
-    violations = validate(d)
-    if violations:
-        raise ValidationError(violations)
-    return d
+    return SpliceDiagram(name, vertices, edges)
 
 
 def render_diagram(d):

@@ -9,14 +9,12 @@ import pytest
 
 from splicelink.cli import main
 from splicelink.errors import ComputationError
-from splicelink.invariants import (DegenerateForm, ZeroSlope,
-                                   alexander_factors, alexander_polynomial,
-                                   boundary_slope, is_fibered,
-                                   nonfibered_rays, thurston_norm)
+from splicelink.invariants import (ZeroSlope, alexander_factors,
+                                   alexander_polynomial, boundary_slope,
+                                   is_fibered, nonfibered_rays, thurston_norm)
 from splicelink.laurent import (FactoredDelta, LaurentPoly, NotDivisible,
                                 OddSpan, convex_hull)
-from splicelink.splice import (Edge, SpliceDiagram, Vertex, VertexKind,
-                               build_k2n, parse_diagram, render_diagram)
+from splicelink.splice import build_k2n, parse_diagram, render_diagram
 from splicelink.swtheory import sw_polynomial
 from oracles import IndexOutOfRange, closed_form_ray_norm, evaluate
 from test_laurent import (centering_outcome, expanded, minkowski_polygon,
@@ -187,24 +185,6 @@ class TestAlexanderFactors:
                            for e1, e2 in f.support())
             checked += 1
         assert checked > 50
-
-    def test_zero_forms_are_degenerate(self):
-        d = SpliceDiagram("zero", [
-            Vertex("H1", VertexKind.NODE),
-            Vertex("S1", VertexKind.BOUNDARY),
-            Vertex("K1", VertexKind.ARROW),
-            Vertex("K2", VertexKind.ARROW),
-        ], [
-            Edge("H1", "S1", 0, 0),
-            Edge("H1", "K1", 0, 0),
-            Edge("H1", "K2", 0, 0),
-        ])
-        with pytest.raises(DegenerateForm) as rays_error:
-            nonfibered_rays(d)
-        for f in (alexander_factors, alexander_polynomial):
-            with pytest.raises(DegenerateForm) as error:
-                f(d)
-            assert str(error.value) == str(rays_error.value)
 
 
 class TestLineQuotientCheck:

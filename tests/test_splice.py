@@ -92,8 +92,16 @@ class TestRender:
         assert again.edges == d.edges
 
     def test_single_vertex_block(self):
-        d = SpliceDiagram("X", [Vertex("H1", VertexKind.NODE)], [])
-        assert render_diagram(d) == "diagram X\nnode H1\n"
+        d = SpliceDiagram("X", [
+            Vertex("H1", VertexKind.NODE),
+            Vertex("K1", VertexKind.ARROW),
+            Vertex("K2", VertexKind.ARROW),
+        ], [
+            Edge("H1", "K1", 1, 1),
+            Edge("H1", "K2", 1, 1),
+        ])
+        assert render_diagram(d) == ("diagram X\nnode H1\narrow K1\narrow K2\n"
+                                     "edge H1 K1 1 1\nedge H1 K2 1 1\n")
 
 
 class TestBuildFamily:
@@ -151,10 +159,11 @@ class TestLinkingNumber:
 
 class TestValidate:
     def test_family_is_valid(self):
-        assert validate(build_k2n(2)) == []
+        d = build_k2n(2)
+        assert validate(d.vertices, d.edges) == []
 
     def test_three_arrowheads(self):
-        diagram = SpliceDiagram("X", [
+        diagram = ([
             Vertex("H1", VertexKind.NODE),
             Vertex("K1", VertexKind.ARROW),
             Vertex("K2", VertexKind.ARROW),
@@ -164,10 +173,10 @@ class TestValidate:
             Edge("H1", "K2", 1, 1),
             Edge("H1", "K3", 1, 1),
         ])
-        assert any(v.startswith("ArrowheadCount") for v in validate(diagram))
+        assert any(v.startswith("ArrowheadCount") for v in validate(*diagram))
 
     def test_disconnected(self):
-        diagram = SpliceDiagram("X", [
+        diagram = ([
             Vertex("H1", VertexKind.NODE),
             Vertex("H2", VertexKind.NODE),
             Vertex("K1", VertexKind.ARROW),
@@ -177,14 +186,14 @@ class TestValidate:
             Edge("H1", "K2", 1, 1),
             Edge("H2", "H2", 1, 1),
         ])
-        assert any(v.startswith("NotATree") for v in validate(diagram))
+        assert any(v.startswith("NotATree") for v in validate(*diagram))
 
     def test_empty(self):
-        assert "NotATree: empty diagram" in validate(SpliceDiagram("X", [], []))
+        assert "NotATree: empty diagram" in validate([], [])
 
     def test_disconnected_with_enough_edges(self):
         # V - 1 edges, but a 3-cycle of nodes apart from K1 - K2
-        diagram = SpliceDiagram("X", [
+        diagram = ([
             Vertex("H1", VertexKind.NODE),
             Vertex("H2", VertexKind.NODE),
             Vertex("H3", VertexKind.NODE),
@@ -196,10 +205,10 @@ class TestValidate:
             Edge("H3", "H1", 1, 1),
             Edge("K1", "K2", 1, 1),
         ])
-        assert validate(diagram) == ["NotATree: diagram is disconnected"]
+        assert validate(*diagram) == ["NotATree: diagram is disconnected"]
 
     def test_nonpositive_weight(self):
-        diagram = SpliceDiagram("X", [
+        diagram = ([
             Vertex("H1", VertexKind.NODE),
             Vertex("K1", VertexKind.ARROW),
             Vertex("K2", VertexKind.ARROW),
@@ -208,10 +217,10 @@ class TestValidate:
             Edge("H1", "K2", 1, 1),
         ])
         assert any(v.startswith("NonpositiveWeight")
-                   for v in validate(diagram))
+                   for v in validate(*diagram))
 
     def test_duplicate_id(self):
-        diagram = SpliceDiagram("X", [
+        diagram = ([
             Vertex("H1", VertexKind.NODE),
             Vertex("H1", VertexKind.NODE),
             Vertex("K1", VertexKind.ARROW),
@@ -220,17 +229,17 @@ class TestValidate:
             Edge("H1", "K1", 1, 1),
             Edge("H1", "K2", 1, 1),
         ])
-        assert any(v.startswith("DuplicateId") for v in validate(diagram))
+        assert any(v.startswith("DuplicateId") for v in validate(*diagram))
 
     def test_leaf_degree(self):
-        diagram = SpliceDiagram("X", [
+        diagram = ([
             Vertex("K1", VertexKind.ARROW),
             Vertex("K2", VertexKind.ARROW),
         ], [
             Edge("K1", "K2", 1, 1),
         ])
         # valid leaves here; now wire an arrowhead with degree 2
-        bad = SpliceDiagram("Y", [
+        bad = ([
             Vertex("H1", VertexKind.NODE),
             Vertex("K1", VertexKind.ARROW),
             Vertex("K2", VertexKind.ARROW),
@@ -240,11 +249,11 @@ class TestValidate:
             Edge("K1", "K2", 1, 1),
             Edge("H1", "S1", 3, 1),
         ])
-        assert validate(diagram) == []
-        assert any(v.startswith("LeafDegree") for v in validate(bad))
+        assert validate(*diagram) == []
+        assert any(v.startswith("LeafDegree") for v in validate(*bad))
 
     def test_unknown_edge_endpoint(self):
-        diagram = SpliceDiagram("X", [
+        diagram = ([
             Vertex("H1", VertexKind.NODE),
             Vertex("K1", VertexKind.ARROW),
             Vertex("K2", VertexKind.ARROW),
@@ -252,41 +261,84 @@ class TestValidate:
             Edge("H1", "K1", 1, 1),
             Edge("H1", "KX", 1, 1),
         ])
-        assert any(v.startswith("UnknownVertex") for v in validate(diagram))
+        assert any(v.startswith("UnknownVertex") for v in validate(*diagram))
 
     def test_disconnected_path_names_the_cause(self):
-        diagram = SpliceDiagram("X", [
-            Vertex("H1", VertexKind.NODE),
-            Vertex("H2", VertexKind.NODE),
-            Vertex("K1", VertexKind.ARROW),
-            Vertex("K2", VertexKind.ARROW),
-        ], [
-            Edge("H1", "K1", 1, 1),
-            Edge("H2", "K2", 1, 1),
-        ])
-        for call in (lambda: diagram.path("K1", "K2"),
-                     lambda: linking_number(diagram, "K1", "K2")):
-            with pytest.raises(ValidationError) as info:
-                call()
-            assert isinstance(info.value, ComputationError)
-            assert info.value.violations == [
-                "NotATree: diagram is disconnected"]
+        with pytest.raises(ValidationError) as info:
+            SpliceDiagram("X", [
+                Vertex("H1", VertexKind.NODE),
+                Vertex("H2", VertexKind.NODE),
+                Vertex("K1", VertexKind.ARROW),
+                Vertex("K2", VertexKind.ARROW),
+            ], [
+                Edge("H1", "K1", 1, 1),
+                Edge("H2", "K2", 1, 1),
+            ])
+        assert isinstance(info.value, ComputationError)
+        assert info.value.violations == [
+            "NotATree: 4 vertices need 3 edges, found 2"]
 
-    def test_undeclared_id_fails_only_the_paths_through_it(self):
-        diagram = SpliceDiagram("X", [
-            Vertex("H1", VertexKind.NODE),
-            Vertex("H2", VertexKind.NODE),
-            Vertex("K1", VertexKind.ARROW),
-            Vertex("K2", VertexKind.ARROW),
-        ], [
-            Edge("H1", "K1", 1, 1),
-            Edge("H1", "K2", 2, 1),
-            Edge("H1", "KX", 3, 1),
-            Edge("KX", "H2", 1, 5),
-        ])
-        assert linking_number(diagram, "K1", "K2") == 3
-        with pytest.raises(UnknownVertex, match="'KX'"):
-            linking_number(diagram, "K1", "H2")
+    def test_undeclared_id_is_named_at_construction(self):
+        with pytest.raises(ValidationError) as info:
+            SpliceDiagram("X", [
+                Vertex("H1", VertexKind.NODE),
+                Vertex("H2", VertexKind.NODE),
+                Vertex("K1", VertexKind.ARROW),
+                Vertex("K2", VertexKind.ARROW),
+            ], [
+                Edge("H1", "K1", 1, 1),
+                Edge("H1", "K2", 2, 1),
+                Edge("H1", "KX", 3, 1),
+                Edge("KX", "H2", 1, 5),
+            ])
+        assert [v for v in info.value.violations
+                if v.startswith("UnknownVertex")] == [
+            "UnknownVertex: edge H1-KX references undeclared 'KX'",
+            "UnknownVertex: edge KX-H2 references undeclared 'KX'"]
+
+
+def _vertices(nodes=(), arrows=(), bvertices=()):
+    return ([Vertex(v, VertexKind.NODE) for v in nodes]
+            + [Vertex(v, VertexKind.ARROW) for v in arrows]
+            + [Vertex(v, VertexKind.BOUNDARY) for v in bvertices])
+
+
+def _edges(*pairs, weight=1):
+    return [Edge(a, b, weight, weight) for a, b in pairs]
+
+
+# code -> (vertices, edges): each violates the code's rule and is accepted
+# by a constructor that does not validate
+INVALID_DIAGRAMS = {
+    "DuplicateId": (_vertices(["H1", "H1"], ["K1", "K2"]),
+                    _edges(("H1", "K1"), ("H1", "K2"))),
+    "UnknownVertex": (_vertices(["H1"], ["K1", "K2"]),
+                      _edges(("H1", "K1"), ("H1", "K2"), ("H1", "KX"))),
+    "NonpositiveWeight": (_vertices(["H1"], ["K1", "K2"]),
+                          _edges(("H1", "K1"), ("H1", "K2"), weight=0)),
+    "LeafDegree": (_vertices(["H1"], ["K1", "K2"], ["S1"]),
+                   _edges(("H1", "K1"), ("K1", "K2"), ("H1", "S1"))),
+    "ArrowheadCount-1": (_vertices(["H1"], ["K1"], ["S1"]),
+                         _edges(("H1", "K1"), ("H1", "S1"))),
+    "ArrowheadCount-3": (_vertices(["H1"], ["K1", "K2", "K3"]),
+                         _edges(("H1", "K1"), ("H1", "K2"), ("H1", "K3"))),
+    "NotATree-empty": ([], []),
+    "NotATree-disconnected": (_vertices(["H1", "H2"], ["K1", "K2"]),
+                              _edges(("H1", "K1"), ("H2", "K2"))),
+    "NotATree-cycle": (_vertices(["H1", "H2", "H3"], ["K1", "K2"]),
+                       _edges(("H1", "H2"), ("H2", "H3"), ("H3", "H1"),
+                              ("K1", "K2"))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_DIAGRAMS))
+def test_construction_raises_the_violations_validate_lists(case):
+    vertices, edges = INVALID_DIAGRAMS[case]
+    with pytest.raises(ValidationError) as info:
+        SpliceDiagram("X", vertices, edges)
+    assert info.value.violations == validate(vertices, edges)
+    code = case.split("-")[0]
+    assert any(v.startswith(code + ":") for v in info.value.violations)
 
 
 # ------------------------------------------------- edge-list path-rule oracle
@@ -371,12 +423,10 @@ DIFFERENTIAL_CASES = ([("chain", n) for n in (1, 2, 3)]
 @pytest.mark.parametrize("kind,arg", DIFFERENTIAL_CASES)
 def test_adjacency_map_matches_edge_list_oracle(kind, arg):
     d = build_k2n(arg) if kind == "chain" else random_diagram(arg)
-    assert validate(d) == []
     ids = [v.id for v in d.vertices]
     for v in ids:
         for w in ids:
             if v != w:
-                assert d.path(v, w) == oracle_path(d, v, w)
                 assert linking_number(d, v, w) == \
                     oracle_linking_number(d, v, w)
 
@@ -389,6 +439,8 @@ def test_virtual_forms_match_edge_list_oracle(kind, arg):
         (v, oracle_linking_number(d, k1, v.id),
          oracle_linking_number(d, k2, v.id), oracle_degree(d, v.id))
         for v in d.vertices if v.kind is not VertexKind.ARROW]
+    # positive weights make every form nonzero: each has a kernel line
+    assert all(a >= 1 and b >= 1 for _v, a, b, _deg in d.virtual_forms())
 
 
 def test_virtual_forms_closed_form_on_a_long_chain():
