@@ -87,6 +87,13 @@ def _read_text(path):
         raise IoError(str(exc)) from exc
 
 
+def _half(x):
+    """x / 2 for an integer x as str(Fraction(x, 2)) writes it: the
+    integer when x is even, else "x/2" (odd x is already in lowest
+    terms)."""
+    return "%d" % (x // 2) if x % 2 == 0 else "%d/2" % x
+
+
 def _write_chunks(path, chunks):
     try:
         with open(path, "w", encoding="utf-8") as handle:
@@ -192,7 +199,7 @@ def build_report(d, family_n, delta):
               for r in ball.nonfibered_rays()],
         faces=[{"lo": [str(x) for x in f.ray_lo.primitive],
                 "hi": [str(x) for x in f.ray_hi.primitive],
-                "dual": [str(f.dual[0]), str(f.dual[1])]}
+                "dual": [_half(f.klass[0]), _half(f.klass[1])]}
                for f in ball.faces],
         alexander=delta,
         canonical_classes=[{"class": [str(x) for x in c.klass],
@@ -259,7 +266,7 @@ def cmd_ball(args):
         print("face (%d,%d)-(%d,%d)  dual (%s,%s)"
               % (f.ray_lo.primitive[0], f.ray_lo.primitive[1],
                  f.ray_hi.primitive[0], f.ray_hi.primitive[1],
-                 f.dual[0], f.dual[1]))
+                 _half(f.klass[0]), _half(f.klass[1])))
     if args.svg:
         _write_chunks(args.svg, ball_svg(ball, log_scale=args.log_scale))
     return 0

@@ -13,7 +13,8 @@ m -> <S_F, m> of the integer face class
 `unit_ball` reads the whole ball off these classes in one angular sweep:
 each ray's norm is <S_F, r> for a face F containing r.  S_F is what a
 face stores, as two ints; its dual vertex, the point pairing to half the
-norm with both of its rays, is S_F / 2, derived only where it is printed.
+norm with both of its rays, is S_F / 2.  `FibredFace.dual` gives it as two
+Fractions; the command line prints it straight from the integers.
 """
 
 from collections import namedtuple

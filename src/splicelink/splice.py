@@ -27,8 +27,9 @@ on the tree path joining them, of the node-end weights of the edges incident
 to that node but not lying on the path.
 """
 
-from collections import deque, namedtuple
+from collections import namedtuple
 from enum import Enum
+from math import prod
 
 from .errors import ComputationError
 
@@ -61,6 +62,13 @@ class VertexKind(Enum):
 
 
 _KINDS = {kind.value: kind for kind in VertexKind}
+# reading a member off the Enum class is a descriptor call; the per-vertex
+# loops read these names instead
+_NODE, _ARROW = VertexKind.NODE, VertexKind.ARROW
+
+# builds a Vertex or Edge from its field tuple in C, without the
+# namedtuple's Python-level __new__; the parser's hot loop uses it
+_new = tuple.__new__
 
 
 class Vertex(namedtuple("Vertex", "id kind")):
@@ -77,26 +85,16 @@ class Edge(namedtuple("Edge", "a b weight_a weight_b")):
 def _bfs(adj, start):
     """Parent map of a breadth-first search of `adj` from `start`, in the
     order reached: each vertex maps to its parent, `start` to None.  The
-    constructor reads the set of reached ids, the linking rows the map."""
+    constructor reads the number of reached ids, the linking rows the
+    map."""
     parents = {start: None}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        for nxt, _weight in adj[cur]:
+    queue = [start]
+    for cur in queue:       # the loop also visits what it appends
+        for nxt in adj[cur]:
             if nxt not in parents:
                 parents[nxt] = cur
                 queue.append(nxt)
     return parents
-
-
-def _weights_off_path(adj, vid, prev, nxt):
-    """Product of the weights at `vid` toward neighbours other than its
-    path neighbours `prev` and `nxt` (None where the path ends)."""
-    product = 1
-    for nbr, weight in adj[vid]:
-        if nbr != prev and nbr != nxt:
-            product *= weight
-    return product
 
 
 class SpliceDiagram:
@@ -106,30 +104,35 @@ class SpliceDiagram:
     carrying every violation, unless the vertices and edges form a valid
     diagram.  Codes: DuplicateId, UnknownVertex, NonpositiveWeight,
     ArrowheadCount, LeafDegree, NotATree.  The same pass builds the
-    adjacency map (vertex id to its (neighbour id, weight at this end)
-    pairs), so it is built once.  Instances are treated as immutable; the
-    linking numbers lk(src, x) of every x, one row per source vertex src
-    that has been asked for, and the linking forms of the virtual
-    components are computed on first use and cached.
+    adjacency map (vertex id to a dict from each neighbour id to the
+    weight at this end), so it is built once.  `vertices` and `edges` are
+    tuples, so the map cannot go stale; the linking numbers lk(src, x) of
+    every x, one row per source vertex src that has been asked for, and
+    the linking forms of the virtual components are computed on first use
+    and cached.
     """
 
     def __init__(self, name, vertices, edges):
         self.name = name
-        self.vertices = list(vertices)
-        self.edges = list(edges)
+        self.vertices = tuple(vertices)
+        self.edges = tuple(edges)
         problems = []
         by_id = {}
         adj = {}
         for v in self.vertices:
-            if v.id in by_id:
+            vid = v.id
+            if vid in by_id:
                 problems.append("DuplicateId: vertex id %r declared more "
-                                "than once" % v.id)
-            by_id[v.id] = v
-            adj[v.id] = []
+                                "than once" % vid)
+            by_id[vid] = v
+            adj[vid] = {}
 
         usable = 0
+        repeated = {}   # vertex -> ends of repeated edges there, which the
+                        # map holds once but the degree counts
         for a, b, weight_a, weight_b in self.edges:
-            if a not in by_id or b not in by_id:
+            at_a, at_b = adj.get(a), adj.get(b)
+            if at_a is None or at_b is None:
                 missing = [x for x in (a, b) if x not in by_id]
                 problems.append("UnknownVertex: edge %s-%s references "
                                 "undeclared %s" % (a, b, ", ".join(
@@ -137,38 +140,55 @@ class SpliceDiagram:
             elif a == b:
                 problems.append("NotATree: self-loop at %r" % a)
             else:
-                adj[a].append((b, weight_a))
-                adj[b].append((a, weight_b))
+                if b in at_a:
+                    repeated[a] = repeated.get(a, 0) + 1
+                    repeated[b] = repeated.get(b, 0) + 1
+                at_a[b] = weight_a
+                at_b[a] = weight_b
                 usable += 1
             if weight_a < 1 or weight_b < 1:
                 problems.append("NonpositiveWeight: edge %s-%s carries "
                                 "weights (%d, %d)"
                                 % (a, b, weight_a, weight_b))
 
-        self.arrowheads = tuple(v for v in self.vertices
-                                if v.kind is VertexKind.ARROW)
-        if len(self.arrowheads) != 2:
-            problems.append("ArrowheadCount: expected 2 arrowheads, found %d"
-                            % len(self.arrowheads))
-
+        arrowheads = []
+        leaf_problems = []
         for v in self.vertices:
-            if v.kind is not VertexKind.NODE and len(adj[v.id]) != 1:
-                problems.append("LeafDegree: %s %r has degree %d, leaves must "
-                                "have degree 1"
-                                % (v.kind.value, v.id, len(adj[v.id])))
+            kind = v.kind
+            if kind is not _NODE:
+                if kind is _ARROW:
+                    arrowheads.append(v)
+                degree = len(adj[v.id]) + repeated.get(v.id, 0)
+                if degree != 1:
+                    leaf_problems.append("LeafDegree: %s %r has degree %d, "
+                                         "leaves must have degree 1"
+                                         % (kind.value, v.id, degree))
+        self.arrowheads = tuple(arrowheads)
+        if len(arrowheads) != 2:
+            problems.append("ArrowheadCount: expected 2 arrowheads, found %d"
+                            % len(arrowheads))
+        problems += leaf_problems
 
+        # the connectivity search starts at the first arrowhead, so that
+        # arrowhead's linking row reuses its parent map
+        searches = {}
         if not self.vertices:
             problems.append("NotATree: empty diagram")
         elif usable != len(by_id) - 1:
             problems.append("NotATree: %d vertices need %d edges, found %d"
                             % (len(by_id), len(by_id) - 1, usable))
-        elif _bfs(adj, self.vertices[0].id).keys() != by_id.keys():
-            problems.append("NotATree: diagram is disconnected")
+        else:
+            start = (arrowheads or self.vertices)[0].id
+            searches[start] = _bfs(adj, start)
+            if len(searches[start]) != len(by_id):
+                problems.append("NotATree: diagram is disconnected")
 
         if problems:
             raise ValidationError(problems)
         self._by_id = by_id
         self._adj = adj
+        self._searches = searches   # parent maps not yet read by a row
+        self._totals = None
         self._lk_rows = {}
         self._forms = None
 
@@ -181,36 +201,35 @@ class SpliceDiagram:
 
     @property
     def nodes(self):
-        return [v for v in self.vertices if v.kind is VertexKind.NODE]
+        return [v for v in self.vertices if v.kind is _NODE]
 
     def _lk_from(self, src):
-        """Map from vertex id x to lk(src, x), for every x.
+        """Map from vertex id x to lk(src, x), for every x other than src.
 
         The row is filled in the order of `_bfs`'s parent map, so each
-        vertex comes after its parent on the tree path from `src`.  A
-        vertex's product of the node weights off the path before it is its
-        parent's times, at a node parent, the weights there toward neither
-        it nor the grandparent; a node x adds its own weights off the
-        path, all but the one to its parent.
+        vertex x comes after its parent p on the tree path from `src`.
+        With total[v] the product of all of v's weights, the product of
+        the weights off the path at the nodes before x is row[p] divided
+        by p's weight toward x, and x adds its own weights off the path,
+        total[x] divided by its weight toward p (1 for a leaf, whose only
+        neighbour is p).  Seeding row[src] with total[src] makes the same
+        rule hold for src's neighbours, node or leaf src alike; that entry
+        is no linking number.  Each division is exact, since every weight
+        is at least 1, so each vertex costs O(1).
         """
         row = self._lk_rows.get(src)
         if row is None:
-            adj, by_id = self._adj, self._by_id
-            node = VertexKind.NODE
-            parents = _bfs(adj, src)
-            row = {}
-            before = {}     # vertex -> its product
-            for cur, prev in parents.items():
-                if prev is None:
-                    product = 1
-                else:
-                    product = before[prev]
-                    if by_id[prev].kind is node:
-                        product *= _weights_off_path(adj, prev, parents[prev],
-                                                     cur)
-                before[cur] = product
-                row[cur] = (product * _weights_off_path(adj, cur, prev, None)
-                            if by_id[cur].kind is node else product)
+            adj, totals = self._adj, self._totals
+            if totals is None:
+                totals = self._totals = {v: prod(nbrs.values())
+                                         for v, nbrs in adj.items()}
+            parents = self._searches.pop(src, None) or _bfs(adj, src)
+            pairs = iter(parents.items())
+            next(pairs)
+            row = {src: totals[src]}
+            for cur, prev in pairs:
+                row[cur] = (row[prev] // adj[prev][cur]
+                            * (totals[cur] // adj[cur][prev]))
             self._lk_rows[src] = row
         return row
 
@@ -218,17 +237,11 @@ class SpliceDiagram:
         """(vertex, lk(K1, v), lk(K2, v), degree) for every node and
         boundary vertex, in declaration order.  Cached on first use."""
         if self._forms is None:
-            k1, k2 = self.arrowheads
+            k1, k2 = (k.id for k in self.arrowheads)
             adj = self._adj
-            forms = []
-            for v in self.vertices:
-                if v.kind is VertexKind.ARROW:
-                    continue
-                forms.append((v,
-                              linking_number(self, k1.id, v.id),
-                              linking_number(self, k2.id, v.id),
-                              len(adj[v.id])))
-            self._forms = forms
+            self._forms = [(v, linking_number(self, k1, v.id),
+                            linking_number(self, k2, v.id), len(adj[v.id]))
+                           for v in self.vertices if v.kind is not _ARROW]
         return self._forms
 
 
@@ -246,9 +259,10 @@ def linking_number(d, v, w):
     """
     if v == w:
         raise ValueError("linking number needs two distinct vertices")
-    row = d._lk_rows.get(v)
-    if row is not None and w in row:
-        return row[w]
+    try:
+        return d._lk_rows[v][w]
+    except KeyError:
+        pass
     d.vertex(v)
     d.vertex(w)
     return d._lk_from(v)[w]
@@ -276,42 +290,47 @@ def parse_diagram(text):
     vertices = []
     edges = []
     ids = {}    # declared id -> its string, shared by the edges that end there
-    last_line = 0
+    lineno = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
-        last_line = lineno
-        line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
-        if not line:
+        parts = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if not parts:
             continue
-        parts = line.split()
         kw = parts[0]
-        if name is None and kw != "diagram":
-            raise DiagramSyntaxError(lineno, "first directive must be 'diagram'")
-        if kw == "diagram":
-            if name is not None:
-                raise DiagramSyntaxError(lineno, "duplicate 'diagram' header")
-            if len(parts) != 2:
-                raise DiagramSyntaxError(lineno, "usage: diagram <name>")
-            name = parts[1]
-        elif kw in _KINDS:
-            if len(parts) != 2:
-                raise DiagramSyntaxError(lineno, "usage: %s <id>" % kw)
-            vertices.append(Vertex(ids.setdefault(parts[1], parts[1]),
-                                   _KINDS[kw]))
-        elif kw == "edge":
-            if len(parts) != 5:
-                raise DiagramSyntaxError(
-                    lineno, "usage: edge <idA> <idB> <weightA> <weightB>")
+        # the body's edge and vertex lines are tested first; any other
+        # line is an error unless it is the first 'diagram' header
+        if kw == "edge" and name is not None:
             try:
-                wa, wb = int(parts[3]), int(parts[4])
+                _kw, a, b, wa, wb = parts
+            except ValueError:
+                raise DiagramSyntaxError(
+                    lineno, "usage: edge <idA> <idB> <weightA> <weightB>"
+                ) from None
+            try:
+                wa, wb = int(wa), int(wb)
             except ValueError:
                 raise DiagramSyntaxError(
                     lineno, "edge weights must be integers") from None
-            edges.append(Edge(ids.get(parts[1], parts[1]),
-                              ids.get(parts[2], parts[2]), wa, wb))
+            edges.append(_new(Edge, (ids.get(a, a), ids.get(b, b), wa, wb)))
+        elif kw in _KINDS and name is not None:
+            try:
+                _kw, vid = parts
+            except ValueError:
+                raise DiagramSyntaxError(lineno,
+                                         "usage: %s <id>" % kw) from None
+            vertices.append(_new(Vertex, (ids.setdefault(vid, vid),
+                                          _KINDS[kw])))
+        elif kw != "diagram":
+            raise DiagramSyntaxError(
+                lineno, "first directive must be 'diagram'" if name is None
+                else "unknown directive %r" % kw)
+        elif name is not None:
+            raise DiagramSyntaxError(lineno, "duplicate 'diagram' header")
+        elif len(parts) != 2:
+            raise DiagramSyntaxError(lineno, "usage: diagram <name>")
         else:
-            raise DiagramSyntaxError(lineno, "unknown directive %r" % kw)
+            name = parts[1]
     if name is None:
-        raise DiagramSyntaxError(last_line + 1, "missing 'diagram' header")
+        raise DiagramSyntaxError(lineno + 1, "missing 'diagram' header")
     return SpliceDiagram(name, vertices, edges)
 
 

@@ -33,8 +33,16 @@ def _bbox(points):
         (max_y - min_y) + 2 * pad, span
 
 
+def _flipped(points):
+    """The points with y negated for the downward SVG axis, each
+    coordinate normalised once so that a zero never prints as
+    -0.000000; a scaled zero stays a positive zero."""
+    return [(x + 0.0, -y + 0.0) for x, y in points]
+
+
 def _figure(view, outline, marks):
-    """Header, axes, the polygon through `outline` if any, marks, end tag."""
+    """Header, axes, the polygon through the flipped points `outline` if
+    any, marks, end tag."""
     min_x, min_y, width, height, span = view
     yield '<?xml version="1.0" encoding="UTF-8"?>\n'
     yield ('<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -47,37 +55,41 @@ def _figure(view, outline, marks):
            'stroke="#bbbbbb" stroke-width="%s"/>\n'
            % (_fmt(min_y), _fmt(min_y + height), _fmt(span * 0.002)))
     if outline:
-        coords = " ".join("%s,%s" % (_fmt(x), _fmt(-y)) for x, y in outline)
+        coords = " ".join("%.6f,%.6f" % p for p in outline)
         yield ('<polygon points="%s" fill="none" stroke="#000000" '
                'stroke-width="%s"/>\n' % (coords, _fmt(span * 0.004)))
     yield from marks
     yield '</svg>\n'
 
 
-def _dot(x, y, span):
-    return ('<circle cx="%s" cy="%s" r="%s" fill="#000000"/>\n'
-            % (_fmt(x), _fmt(-y), _fmt(span * 0.008)))
+def _dot(span):
+    """Template of a dot at a flipped point (x, y)."""
+    return ('<circle cx="%%.6f" cy="%%.6f" r="%s" fill="#000000"/>\n'
+            % _fmt(span * 0.008))
 
 
-def _label(x, y, span, e1, e2):
-    return ('<text x="%s" y="%s" font-size="%s" '
-            'text-anchor="middle">(%d,%d)</text>\n'
-            % (_fmt(x), _fmt(-y), _fmt(span * 0.045), e1, e2))
+def _label(span):
+    """Template of a label (e1,e2) at a flipped point (x, y)."""
+    return ('<text x="%%.6f" y="%%.6f" font-size="%s" '
+            'text-anchor="middle">(%%d,%%d)</text>\n' % _fmt(span * 0.045))
 
 
 def _ball_marks(pts, span, rays):
+    line = ('<line x1="0.000000" y1="0.000000" x2="%%.6f" y2="%%.6f" '
+            'stroke="#888888" stroke-width="%s"/>\n' % _fmt(span * 0.002))
+    label = _label(span)
     for (x, y), ray in zip(pts, rays):
-        yield ('<line x1="0.000000" y1="0.000000" x2="%s" y2="%s" '
-               'stroke="#888888" stroke-width="%s"/>\n'
-               % (_fmt(x * 1.12), _fmt(-y * 1.12), _fmt(span * 0.002)))
-        yield _label(x * 1.30, y * 1.30, span, *ray.primitive)
-    yield from (_dot(x, y, span) for x, y in pts)
+        yield line % (x * 1.12, y * 1.12)
+        yield label % (x * 1.30, y * 1.30, ray.primitive[0], ray.primitive[1])
+    dot = _dot(span)
+    yield from (dot % p for p in pts)
 
 
 def _hull_marks(pts, span, points):
+    dot, label = _dot(span), _label(span)
     for (x, y), (e1, e2) in zip(pts, points):
-        yield _dot(x, y, span)
-        yield _label(x * 1.14, y * 1.14, span, e1, e2)
+        yield dot % (x, y)
+        yield label % (x * 1.14, y * 1.14, e1, e2)
 
 
 def ball_svg(ball, log_scale=False):
@@ -102,6 +114,7 @@ def ball_svg(ball, log_scale=False):
         factors = [(1.0 + log10(r / r_min)) / r for r in radii]
         pts = [(x * f, y * f) for (x, y), f in zip(pts, factors)]
     view = _bbox([(x * 1.30, y * 1.30) for x, y in pts])
+    pts = _flipped(pts)
     return _figure(view, pts, _ball_marks(pts, view[4], ball.rays))
 
 
@@ -113,4 +126,6 @@ def hull_svg(points):
     pts = [(float(x), float(y)) for x, y in points]
     outline = pts if len(pts) > 1 else ()
     view = _bbox([(x * 1.14, y * 1.14) for x, y in outline] or pts)
-    return _figure(view, outline, _hull_marks(pts, view[4], points))
+    pts = _flipped(pts)
+    return _figure(view, pts if outline else (),
+                   _hull_marks(pts, view[4], points))

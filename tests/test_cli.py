@@ -7,12 +7,13 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import splicelink
-from splicelink.cli import build_report, main, recognize_family
+from splicelink.cli import _half, build_report, main, recognize_family
 from splicelink.errors import ComputationError
 from splicelink.invariants import alexander_factors
 from splicelink.laurent import FactoredDelta, LaurentPoly
@@ -567,6 +568,30 @@ def test_report_agrees_with_the_single_commands(source, capsys):
     assert stdout_field(report, "sw basic classes: ") == \
         stdout_field(stdout("sw"), "basic classes: ")
     assert stdout_field(report, "orbit count: ") + "\n" == stdout("orbits")
+
+
+HALVED = (list(range(-60, 61))
+          + [sign * 3 ** 401 + step for sign in (1, -1) for step in (1, -1)])
+
+
+def test_integer_half_matches_fraction():
+    for x in HALVED:
+        assert _half(x) == str(Fraction(x, 2))
+
+
+@pytest.mark.parametrize("source", ["family", "tree5"])
+def test_ball_prints_the_face_duals_as_fractions(source, capsys):
+    if source == "family":
+        d, argv = build_k2n(3), ["ball", "--family", "3"]
+    else:
+        path = Path(__file__).parent / "data" / "tree5.sd"
+        d, argv = parse_diagram(path.read_text()), ["ball", str(path)]
+    code, out, _err = run(argv, capsys)
+    assert code == 0
+    duals = [line.rsplit("dual ", 1)[1] for line in out.splitlines()
+             if line.startswith("face ")]
+    assert duals == ["(%s,%s)" % f.dual for f in unit_ball(d).faces]
+    assert any("/" in dual for dual in duals) == (source == "tree5")
 
 
 class TestSvg:

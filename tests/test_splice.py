@@ -78,6 +78,66 @@ class TestParse:
                    for v in info.value.violations)
 
 
+EDGE_USAGE = "usage: edge <idA> <idB> <weightA> <weightB>"
+HEADER_FIRST = "first directive must be 'diagram'"
+BODY = "diagram X\nnode A\nnode B\n"
+
+# (text, line, message): one row per DiagramSyntaxError branch of the parser
+SYNTAX_ERRORS = [
+    ("", 1, "missing 'diagram' header"),
+    ("\n", 2, "missing 'diagram' header"),
+    ("# only\n  # comments\n", 3, "missing 'diagram' header"),
+    ("# only a comment", 2, "missing 'diagram' header"),
+    ("node H1\ndiagram X\n", 1, HEADER_FIRST),
+    ("\n# c\n  edge A B 1 1\ndiagram X\n", 3, HEADER_FIRST),
+    ("arrow K1\n", 1, HEADER_FIRST),
+    ("splice A B\n", 1, HEADER_FIRST),
+    ("diagram X\ndiagram Y\n", 2, "duplicate 'diagram' header"),
+    ("diagram X\nnode A\n  diagram X\n", 3, "duplicate 'diagram' header"),
+    ("diagram X\ndiagram\n", 2, "duplicate 'diagram' header"),
+    ("diagram\n", 1, "usage: diagram <name>"),
+    ("diagram X Y\n", 1, "usage: diagram <name>"),
+    ("diagram # X\n", 1, "usage: diagram <name>"),
+    ("diagram X\nnode\n", 2, "usage: node <id>"),
+    ("diagram X\nnode A B\n", 2, "usage: node <id>"),
+    ("diagram X\nbvertex\n", 2, "usage: bvertex <id>"),
+    ("diagram X\nbvertex S1 S2\n", 2, "usage: bvertex <id>"),
+    ("diagram X\narrow\n", 2, "usage: arrow <id>"),
+    ("diagram X\narrow K1 K2\n", 2, "usage: arrow <id>"),
+    ("diagram X\nnode#A\n", 2, "usage: node <id>"),
+    (BODY + "edge A B 1\n", 4, EDGE_USAGE),
+    (BODY + "edge A B 1 1 1\n", 4, EDGE_USAGE),
+    (BODY + "edge\n", 4, EDGE_USAGE),
+    (BODY + "edge A B 1 # 1\n", 4, EDGE_USAGE),
+    (BODY + "edge A B one 1\n", 4, "edge weights must be integers"),
+    (BODY + "edge A B 1 1.5\n", 4, "edge weights must be integers"),
+    (BODY + "edge A B 1 0x2\n", 4, "edge weights must be integers"),
+    ("diagram X\nsplice H1 H2\n", 2, "unknown directive 'splice'"),
+    ("diagram X\nNode A\n", 2, "unknown directive 'Node'"),
+    ("diagram X\nnodes A\n", 2, "unknown directive 'nodes'"),
+    ("diagram X\nno#de A\n", 2, "unknown directive 'no'"),
+    ("diagram X\r\nnode A\r\nedges A B 1 1\r\n", 3,
+     "unknown directive 'edges'"),
+]
+
+
+@pytest.mark.parametrize("text,line,message", SYNTAX_ERRORS)
+def test_syntax_error_line_and_message(text, line, message):
+    with pytest.raises(DiagramSyntaxError) as info:
+        parse_diagram(text)
+    assert (info.value.line, info.value.message) == (line, message)
+    assert str(info.value) == "line %d: %s" % (line, message)
+
+
+def test_mid_line_comments_are_dropped():
+    d = parse_diagram("diagram X#name\nnode H1 # the node\narrow K1#\n"
+                      "arrow\tK2\n#edge H1 K1 9 9\nedge H1 K1 2 1 # w\n"
+                      "  edge H1 K2 3 1\n")
+    assert d.name == "X"
+    assert [v.id for v in d.vertices] == ["H1", "K1", "K2"]
+    assert list(d.edges) == [Edge("H1", "K1", 2, 1), Edge("H1", "K2", 3, 1)]
+
+
 class TestRender:
     def test_round_trip_text(self):
         d = parse_diagram(K2_TEXT)
@@ -123,6 +183,15 @@ class TestBuildFamily:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             build_k2n(0)
+
+    def test_vertices_and_edges_cannot_be_changed(self):
+        d = build_k2n(1)
+        with pytest.raises(AttributeError):
+            d.edges.append(Edge("H1", "K1", 0, 0))
+        with pytest.raises(AttributeError):
+            d.vertices.append(Vertex("H9", VertexKind.NODE))
+        assert linking_number(d, "K1", "K2") == 9
+        assert parse_diagram(render_diagram(d)).edges == d.edges
 
 
 class TestLinkingNumber:
@@ -341,6 +410,43 @@ def test_construction_raises_the_violations_validate_lists(case):
     assert any(v.startswith(code + ":") for v in info.value.violations)
 
 
+# A repeated edge is one adjacency entry but two edge ends: the degrees
+# and edge counts below, recorded before the adjacency map became a dict of
+# dicts, count every end.
+REPEATED_EDGES = {
+    "node-node": (K2_TEXT + "edge H1 H2 1 1\n", [
+        "NotATree: 6 vertices need 5 edges, found 6"]),
+    "node-leaf": (K2_TEXT + "edge H1 S1 3 1\n", [
+        "LeafDegree: bvertex 'S1' has degree 2, leaves must have degree 1",
+        "NotATree: 6 vertices need 5 edges, found 6"]),
+    "reversed": (K2_TEXT + "edge S1 H1 1 3\n", [
+        "LeafDegree: bvertex 'S1' has degree 2, leaves must have degree 1",
+        "NotATree: 6 vertices need 5 edges, found 6"]),
+    "replacing": (K2_TEXT.replace("edge H2 K2 1 1\n", "")
+                  + "edge H1 S1 2 2\n", [
+        "LeafDegree: bvertex 'S1' has degree 2, leaves must have degree 1",
+        "LeafDegree: arrow 'K2' has degree 0, leaves must have degree 1",
+        "NotATree: diagram is disconnected"]),
+    "tripled": (K2_TEXT + "edge H2 S2 3 1\nedge S2 H2 0 1\n", [
+        "NonpositiveWeight: edge S2-H2 carries weights (0, 1)",
+        "LeafDegree: bvertex 'S2' has degree 3, leaves must have degree 1",
+        "NotATree: 6 vertices need 5 edges, found 7"]),
+    "arrows": ("diagram X\narrow K1\narrow K2\nedge K1 K2 1 1\n"
+               "edge K2 K1 1 1\n", [
+        "LeafDegree: arrow 'K1' has degree 2, leaves must have degree 1",
+        "LeafDegree: arrow 'K2' has degree 2, leaves must have degree 1",
+        "NotATree: 2 vertices need 1 edges, found 2"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEATED_EDGES))
+def test_repeated_edges_count_every_end(case):
+    text, violations = REPEATED_EDGES[case]
+    with pytest.raises(ValidationError) as info:
+        parse_diagram(text)
+    assert info.value.violations == violations
+
+
 # ------------------------------------------------- edge-list path-rule oracle
 
 def oracle_path(d, start, goal):
@@ -416,13 +522,67 @@ def random_diagram(seed):
     return SpliceDiagram("R%d" % seed, vertices, edges)
 
 
-DIFFERENTIAL_CASES = ([("chain", n) for n in (1, 2, 3)]
-                      + [("random", seed) for seed in range(40)])
+def branching_diagram(seed):
+    """A valid diagram larger than random_diagram's: a random tree of 8..14
+    nodes, most of them filled to degree 5 with leaves (the two
+    arrowheads, then boundary vertices), and each weight 1 with
+    probability one half, else 2..7, at both ends, leaf ends included;
+    declaration and edge order shuffled and edge ends swapped at random."""
+    rng = random.Random("branching:%d" % seed)
+    nodes = ["H%d" % i for i in range(1, rng.randint(8, 14) + 1)]
+    degree = dict.fromkeys(nodes, 0)
+    pairs = []
+    for i, node in enumerate(nodes[1:], 1):
+        parent = rng.choice([h for h in nodes[:i] if degree[h] < 4])
+        pairs.append((parent, node))
+        degree[parent] += 1
+        degree[node] += 1
+    leaves = ["K1", "K2"]
+    for node in nodes:
+        room = 5 - degree[node] - (rng.random() < 0.25)
+        leaves += ["S%d" % (len(leaves) + i) for i in range(room)]
+    hosts = [h for h in nodes for _ in range(5 - degree[h])]
+    rng.shuffle(hosts)
+    vertices = [Vertex(h, VertexKind.NODE) for h in nodes]
+    for leaf, host in zip(leaves, hosts):
+        pairs.append((host, leaf))
+        vertices.append(Vertex(leaf, VertexKind.ARROW if leaf[0] == "K"
+                               else VertexKind.BOUNDARY))
+    rng.shuffle(vertices)
+
+    def weight():
+        return 1 if rng.random() < 0.5 else rng.randint(2, 7)
+
+    edges = [Edge(*((a, b) if rng.random() < 0.5 else (b, a)),
+                  weight(), weight()) for a, b in pairs]
+    rng.shuffle(edges)
+    return SpliceDiagram("B%d" % seed, vertices, edges)
+
+
+DIAGRAMS = {"chain": build_k2n, "random": random_diagram,
+            "branching": branching_diagram}
+
+# chain n = 12 is the benchmark's 24-node chain
+DIFFERENTIAL_CASES = ([("chain", n) for n in (1, 2, 3, 12)]
+                      + [("random", seed) for seed in range(40)]
+                      + [("branching", seed) for seed in range(6)])
+
+
+def test_branching_diagrams_have_what_they_promise():
+    for seed in range(6):
+        d = branching_diagram(seed)
+        degrees = [deg for v, _a, _b, deg in d.virtual_forms()
+                   if v.kind is VertexKind.NODE]
+        assert len(degrees) >= 8 and degrees.count(5) >= len(degrees) // 2
+        ends = [w for e in d.edges for w in (e.weight_a, e.weight_b)]
+        assert ends.count(1) >= len(ends) // 4
+        assert any(w > 1 for e in d.edges for w in (e.weight_a, e.weight_b)
+                   if e.a[0] != "H" or e.b[0] != "H")
 
 
 @pytest.mark.parametrize("kind,arg", DIFFERENTIAL_CASES)
 def test_adjacency_map_matches_edge_list_oracle(kind, arg):
-    d = build_k2n(arg) if kind == "chain" else random_diagram(arg)
+    d = DIAGRAMS[kind](arg)
     ids = [v.id for v in d.vertices]
     for v in ids:
         for w in ids:
@@ -433,7 +593,7 @@ def test_adjacency_map_matches_edge_list_oracle(kind, arg):
 
 @pytest.mark.parametrize("kind,arg", DIFFERENTIAL_CASES)
 def test_virtual_forms_match_edge_list_oracle(kind, arg):
-    d = build_k2n(arg) if kind == "chain" else random_diagram(arg)
+    d = DIAGRAMS[kind](arg)
     k1, k2 = (v.id for v in d.arrowheads)
     assert d.virtual_forms() == [
         (v, oracle_linking_number(d, k1, v.id),
