@@ -26,6 +26,7 @@ import functools
 import json
 import sys
 from collections import namedtuple
+from itertools import islice
 
 from .errors import ComputationError
 from .invariants import (alexander_factors, boundary_slope, is_fibered,
@@ -35,7 +36,7 @@ from .orbits import face_orbits, lattice_symmetries, min_structure_count
 from .polytope import unit_ball
 from .splice import build_k2n, linking_number, parse_diagram, render_diagram
 from .svg import ball_svg, hull_svg
-from .swtheory import canonical_classes, is_homotopy_k3, sw_polynomial
+from .swtheory import canonical_classes, is_homotopy_k3
 
 # One [e1, e2, "coefficient"] term of a report's term arrays, as
 # json.dumps(..., indent=2) lays it out at that depth (a decimal string
@@ -151,24 +152,23 @@ class Report(namedtuple("Report", "diagram family_n lk rays faces alexander "
 
         json.dumps with an indent runs CPython's pure-Python encoder, so
         the two term arrays, the bulk of the text, are written straight
-        from the expanded Δ (never zero, so never empty) with one string
+        from Δ's terms (never zero, so never empty) with one string
         template, a block of terms per chunk; every other field goes
         through json.dumps and is indented one level deeper."""
         separator = "{\n"
         for name, value in zip(self._fields, self):
             if name == "alexander":
                 # t -> t^2 keeps the graded-lex order, so both arrays walk
-                # Δ's one cached order
-                expanded = value.expand()
-                keys, coeffs = expanded._sorted_keys(), expanded._terms
+                # Δ's terms in their one order
                 for array, power in (("alexander", 1),
                                      ("sw_basic_classes", 2)):
                     yield '%s  "%s": ' % (separator, array)
-                    for i in range(0, len(keys), _TERM_BLOCK):
-                        yield ("[\n" if i == 0 else ",\n") + ",\n".join(
-                            [_TERM_JSON
-                             % (power * e[0], power * e[1], coeffs[e])
-                             for e in keys[i:i + _TERM_BLOCK]])
+                    terms = value.terms(power)
+                    opening = "[\n"
+                    while block := [_TERM_JSON % term for term
+                                    in islice(terms, _TERM_BLOCK)]:
+                        yield opening + ",\n".join(block)
+                        opening = ",\n"
                     yield "\n  ]"
             else:
                 yield "%s  %s: " % (separator, json.dumps(name))
@@ -253,7 +253,7 @@ def cmd_alex(args):
     d = _load_diagram(args)
     family_n = args.family or recognize_family(d)
     delta = FactoredDelta(alexander_factors(d))
-    print(delta.text() if family_n else delta.expand())
+    print(delta.text() if family_n else delta.expanded_text())
     return 0
 
 
@@ -287,9 +287,9 @@ def cmd_sw(args):
     family_n = args.family or recognize_family(d)
     delta = FactoredDelta(alexander_factors(d))
     # The SW polynomial is Δ(t1^2, t2^2): Δ's term count, Δ's hull doubled.
-    # Only a diagram outside the family prints, so expands, Δ.
+    # Only a diagram outside the family prints Δ's terms, so expands it.
     print("SW polynomial: %s" % (delta.text(2) if family_n
-                                 else sw_polynomial(delta.expand())))
+                                 else delta.expanded_text(2)))
     print("basic classes: %d" % delta.term_count())
     print("hull vertices: %s" % " ".join(
         "(%d,%d)" % (2 * e1, 2 * e2) for e1, e2 in delta.newton_polygon()))
@@ -306,9 +306,10 @@ def cmd_report(args):
     d = _load_diagram(args)
     family_n = args.family or recognize_family(d)
     delta = FactoredDelta(alexander_factors(d))
-    # Δ is expanded only to write its coefficients, and before any output
+    # Δ's terms are built only to write its coefficients, and before any
+    # output, so TooLarge leaves stdout empty
     if args.json or not family_n:
-        delta.expand()
+        delta.terms()
     report = build_report(d, family_n, delta)
     print("diagram %s%s" % (report.diagram,
                             "  (family n=%d)" % family_n
@@ -324,7 +325,7 @@ def cmd_report(args):
               % (f["lo"][0], f["lo"][1], f["hi"][0], f["hi"][1],
                  f["dual"][0], f["dual"][1]))
     print("alexander polynomial: %s"
-          % (delta.text() if family_n else delta.expand()))
+          % (delta.text() if family_n else delta.expanded_text()))
     # The SW polynomial Δ(t1^2, t2^2) has one basic class per term of Δ.
     print("sw basic classes: %d" % delta.term_count())
     print("canonical classes:")

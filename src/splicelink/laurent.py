@@ -8,19 +8,24 @@ threads.
 
 Leading terms, exact division and the canonical term order all use graded
 lexicographic order on (e1, e2).  Like the Newton polygon, the ascending
-term order is computed once per polynomial, on first use, and cached: the
-printed text, the report's JSON and the basic classes all read that sort.
+term order is computed once per polynomial, on first use, and cached, or
+carried: negation and t -> t^k keep it, and Δ is built in it.  The printed
+text and the basic classes read that order.
 
 ``FactoredDelta`` reads Δ's centering, polygon, term count and text off
 its factors, and refuses, with TooLarge, to expand a product that could
-have more than MAX_TERMS terms, before it multiplies anything.
+have more than MAX_TERMS terms, before it multiplies anything.  It
+expands on one integer key per term, K(e) = (e1 + e2)·m + e1 with
+m = 2x + 1 and x the largest |e1| of Δ: the key orders terms as graded
+lex does and is linear in e, so a product term's key is the sum of its
+factors' keys.  The report's JSON and every expanded print of Δ or of
+its SW polynomial read the terms straight from those sorted keys.
 """
 
 import heapq
 from fractions import Fraction
-from functools import reduce
 from math import prod
-from operator import index, mul
+from operator import index
 
 from .errors import ComputationError
 
@@ -63,9 +68,8 @@ def _grlex_key(e):
     return (e[0] + e[1], e[0])
 
 
-def _term_text(e, c):
+def _term_text(e1, e2, c):
     """One term of the printed polynomial with its leading " + " or " - "."""
-    e1, e2 = e
     if e1:
         m = "t1" if e1 == 1 else "t1^%d" % e1
         if e2:
@@ -79,6 +83,19 @@ def _term_text(e, c):
     if c == -1:
         return " - " + m
     return " - %d %s" % (-c, m) if c < 0 else " + %d %s" % (c, m)
+
+
+def _text(terms):
+    """The printed polynomial of (e1, e2, coefficient) terms given in
+    ascending graded-lex order: the highest term first, "0" for none."""
+    pieces = [_term_text(e1, e2, c) for e1, e2, c in terms]
+    if not pieces:
+        return "0"
+    pieces.reverse()
+    # the leading term drops the " + " or keeps only the "-" of " - "
+    first = pieces[0]
+    pieces[0] = "-" + first[3:] if first[1] == "-" else first[3:]
+    return "".join(pieces)
 
 
 def convex_hull(points):
@@ -148,12 +165,13 @@ class LaurentPoly:
         self._order = None
 
     @classmethod
-    def _raw(cls, data, hull=None):
-        # data is normalized (no zero coefficients); hull: its polygon or None
+    def _raw(cls, data, hull=None, order=None):
+        # data is normalized (no zero coefficients); hull: its polygon or
+        # None; order: its keys in ascending graded-lex order or None
         obj = cls.__new__(cls)
         obj._terms = data
         obj._hull = hull
-        obj._order = None
+        obj._order = order
         return obj
 
     @classmethod
@@ -223,7 +241,7 @@ class LaurentPoly:
 
     def __neg__(self):
         return LaurentPoly._raw({e: -c for e, c in self._terms.items()},
-                                self._hull)
+                                self._hull, self._order)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -303,14 +321,17 @@ class LaurentPoly:
 
     def substitute_power(self, k):
         """Substitute t1 -> t1^k and t2 -> t2^k for a positive integer k.
-        A polygon self already has is scaled by k, not recomputed."""
+        A polygon or order self already has is scaled by k, not
+        recomputed: scaling keeps graded-lex order."""
         if k < 1:
             raise ValueError("power substitution needs k >= 1")
         if k == 1:
             return self
+        terms, order = self._terms, self._order
+        data = {(k * e[0], k * e[1]): terms[e] for e in order or terms}
         return LaurentPoly._raw(
-            {(k * e[0], k * e[1]): c for e, c in self._terms.items()},
-            self._hull and [(k * e[0], k * e[1]) for e in self._hull])
+            data, self._hull and [(k * e[0], k * e[1]) for e in self._hull],
+            order and list(data))
 
     def shift(self, d1, d2):
         """Multiply by the monomial t1^d1 t2^d2.  A polygon self already
@@ -350,15 +371,8 @@ class LaurentPoly:
     # --------------------------------------------------------------- printing
 
     def __str__(self):
-        if not self._terms:
-            return "0"
         terms = self._terms
-        pieces = [_term_text(e, terms[e])
-                  for e in reversed(self._sorted_keys())]
-        # the leading term drops the " + " or keeps only the "-" of " - "
-        first = pieces[0]
-        pieces[0] = "-" + first[3:] if first[1] == "-" else first[3:]
-        return "".join(pieces)
+        return _text((e[0], e[1], terms[e]) for e in self._sorted_keys())
 
     def __repr__(self):
         return "LaurentPoly(%r)" % (self._terms,)
@@ -367,18 +381,18 @@ class LaurentPoly:
 class FactoredDelta:
     """Δ as the factors alexander_factors gives, one per kernel line and
     each lying on its line (Eisenbud & Neumann).  Hull, term count and text
-    are read off them; only ``expand`` multiplies them, once.  The
-    constructor centers, so it raises OddSpan where symmetrize would.
-    Nothing checks that each factor lies on a line: for a factor that
-    does not, ``newton_polygon`` and the polygon ``expand`` gives its
-    product are unspecified."""
+    are read off them; only ``terms`` multiplies them, once, and ``expand``
+    and ``expanded_text`` read its terms.  The constructor centers, so it
+    raises OddSpan where symmetrize would.  Nothing checks that each
+    factor lies on a line: for a factor that does not, ``newton_polygon``
+    and the polygon ``expand`` gives its product are unspecified."""
 
-    __slots__ = ("factors", "shift", "_expanded")
+    __slots__ = ("factors", "shift", "_expansion")
 
     def __init__(self, factors):
         self.factors = tuple(factors)
         self.shift = _center(self.factors)
-        self._expanded = None
+        self._expansion = None
 
     def newton_polygon(self):
         """``expand().newton_polygon()`` without expanding: the factors'
@@ -404,11 +418,11 @@ class FactoredDelta:
 
     def term_count(self):
         """The product's number of terms: Π len(factor) when a mixed-radix
-        certificate holds, else len(expand()).  The certificate: projected
-        onto e1 (failing that, e2) each factor's support is injective and,
-        ordered by projected span, each factor's smallest gap exceeds the
-        spans before it, so each choice of one term per factor has its own
-        projected sum and nothing cancels."""
+        certificate holds, else the number of expanded terms.  The
+        certificate: projected onto e1 (failing that, e2) each factor's
+        support is injective and, ordered by projected span, each factor's
+        smallest gap exceeds the spans before it, so each choice of one
+        term per factor has its own projected sum and nothing cancels."""
         for axis in (0, 1):
             projections = []
             for factor in self.factors:
@@ -424,26 +438,76 @@ class FactoredDelta:
                     reach += values[-1] - values[0]
                 else:
                     return prod(len(factor) for factor in self.factors)
-        return len(self.expand())
+        return len(self._expand_keys()[1])
 
-    def expand(self):
-        """The centered product with a positive graded-lex-leading
-        coefficient, built on the first call and kept.  That order is
-        translation invariant, so LT(fg) = LT(f) LT(g): the factors are
-        multiplied onto the monomial carrying shift and sign, and the
-        product is not scanned again; its polygon is the factors'
-        zonotope.  Raises TooLarge, before multiplying, when Π len(factor),
-        a bound on the term count, exceeds MAX_TERMS."""
-        if self._expanded is None:
+    def _expand_keys(self):
+        """(x, keys, coefficients): the centered product with a positive
+        graded-lex-leading coefficient, as its terms' integer keys
+        K(e) = (m + 1) e1 + m e2, m = 2x + 1, ascending, and the
+        coefficients in parallel; built on the first call and kept.
+
+        x, the largest |e1| of the centered product, is half the sum of
+        the factors' e1 spans, so every e1 lies in [-x, x] and K orders
+        terms as graded lex does.  That order is translation invariant, so
+        LT(fg) = LT(f) LT(g): the factors' keyed terms are multiplied onto
+        the key of the monomial carrying shift and sign.  Raises TooLarge,
+        before reading any factor's terms, when Π len(factor), a bound on
+        the term count, exceeds MAX_TERMS."""
+        if self._expansion is None:
             bound = prod(len(f) for f in self.factors)
             if bound > MAX_TERMS:
                 raise TooLarge("the product could have %d terms, more than %d"
                                % (bound, MAX_TERMS))
             sign = (-1) ** sum(f.leading_term()[1] < 0 for f in self.factors)
-            self._expanded = reduce(mul, self.factors, LaurentPoly.monomial(
-                -self.shift[0], -self.shift[1], sign))
-            self._expanded._hull = self.newton_polygon()
-        return self._expanded
+            x = sum(max(e[0] for e in f.support())
+                    - min(e[0] for e in f.support())
+                    for f in self.factors) // 2
+            m = 2 * x + 1
+            terms = {-(m + 1) * self.shift[0] - m * self.shift[1]: sign}
+            for factor in self.factors:
+                keyed = [((m + 1) * e1 + m * e2, c)
+                         for (e1, e2), c in factor.items()]
+                product = {}
+                get = product.get
+                for k, c in terms.items():
+                    for fk, fc in keyed:
+                        key = k + fk
+                        s = get(key, 0) + c * fc
+                        if s:
+                            product[key] = s
+                        else:
+                            del product[key]
+                terms = product
+            keys = sorted(terms)
+            self._expansion = (x, keys, [terms[k] for k in keys])
+        return self._expansion
+
+    def terms(self, power=1):
+        """The terms of Δ(t1^power, t2^power) as (e1, e2, coefficient) in
+        ascending graded-lex order (t -> t^k keeps it), decoded from the
+        integer keys.  Expands, or raises TooLarge, when called, not when
+        first iterated."""
+        x, keys, coeffs = self._expand_keys()
+        m = 2 * x + 1
+
+        def decoded():
+            for k, c in zip(keys, coeffs):
+                e1 = (k + x) % m - x
+                yield power * e1, power * ((k - e1) // m - e1), c
+        return decoded()
+
+    def expand(self):
+        """Δ as a LaurentPoly, built from ``terms()``: their order is its
+        cached order and the factors' zonotope is its polygon, so nothing
+        is multiplied or sorted again.  Raises TooLarge as ``terms``."""
+        data = {(e1, e2): c for e1, e2, c in self.terms()}
+        return LaurentPoly._raw(data, self.newton_polygon(), list(data))
+
+    def expanded_text(self, power=1):
+        """Δ(t1^power, t2^power) printed term by term, as str prints its
+        expanded polynomial.  Its leading coefficient is Δ's, so positive:
+        for power 2 this is also the SW polynomial's text."""
+        return _text(self.terms(power))
 
     def text(self, power=1):
         """Δ(t1^power, t2^power) as the product of the centered factors;

@@ -32,3 +32,10 @@ def delta_k4(k4):
 @pytest.fixture(scope="session")
 def delta_k8(k8):
     return alexander_polynomial(k8)
+
+
+@pytest.fixture(scope="session")
+def delta_k12():
+    """Δ of the 12-node chain, 3^12 terms: the largest the chain tests
+    expand, so it is expanded once per session."""
+    return alexander_polynomial(build_k2n(6))

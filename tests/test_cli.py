@@ -220,14 +220,16 @@ def test_factored_commands_run_past_the_term_limit(argv):
 
 def test_too_large_is_raised_before_any_product(monkeypatch, capsys,
                                                 tmp_path):
+    # the expansion's first read of a factor is its terms, items()
     real_factors = splicelink.cli.alexander_factors
 
-    def refuse(_self, _other):
-        raise AssertionError("a product was formed before the size check")
+    def refuse(_self):
+        raise AssertionError("a factor's terms were read before the size "
+                             "check")
 
     def factors(d):
         out = real_factors(d)
-        monkeypatch.setattr(LaurentPoly, "__mul__", refuse)
+        monkeypatch.setattr(LaurentPoly, "items", refuse)
         return out
 
     monkeypatch.setattr(splicelink.cli, "alexander_factors", factors)
@@ -538,7 +540,8 @@ def test_family_commands_do_not_expand(argv, text, count, monkeypatch,
     def refuse(_self):
         raise AssertionError("%s expanded the family's Δ" % argv)
 
-    monkeypatch.setattr(FactoredDelta, "expand", refuse)
+    # every expansion, expand() and terms() alike, builds the keyed terms
+    monkeypatch.setattr(FactoredDelta, "_expand_keys", refuse)
     start = time.perf_counter()
     code, out, _err = run(argv.split(), capsys)
     elapsed = time.perf_counter() - start

@@ -2,6 +2,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd
 from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +10,11 @@ from hypothesis import strategies as st
 
 from splicelink import laurent
 from splicelink.errors import ComputationError
-from splicelink.invariants import alexander_polynomial
+from splicelink.invariants import alexander_factors, alexander_polynomial
 from splicelink.laurent import (FactoredDelta, LaurentPoly, NotDivisible,
                                 OddSpan, TooLarge, ZeroPolynomial, _center,
                                 convex_hull)
-from splicelink.splice import build_k2n
+from splicelink.splice import build_k2n, parse_diagram
 from oracles import evaluate
 from test_splice import random_diagram
 
@@ -364,10 +365,13 @@ def centering_outcome(route, factors):
 def test_centered_product_is_the_expanded_one(factors):
     # the coefficient and exponent ranges give negative leading
     # coefficients and odd spans, which no parsed diagram's factors have.
-    # Only the centering and sign are checked: these factors need not lie
-    # on lines, so the polygon FactoredDelta gives them is unspecified
-    assert centering_outcome(expanded, factors) == \
-        centering_outcome(symmetrized_product, factors)
+    # The polygon is not checked: these factors need not lie on lines, so
+    # the polygon FactoredDelta gives them is unspecified.  Their terms
+    # merge and cancel, which the diagrams' factors never do
+    got = centering_outcome(expanded, factors)
+    assert got == centering_outcome(symmetrized_product, factors)
+    if isinstance(got, LaurentPoly):
+        assert_keyed_expansion_is_the_dict_product(factors)
 
 
 def test_centered_product_refuses_more_than_max_terms(monkeypatch):
@@ -457,11 +461,16 @@ def test_cached_order_matches_the_full_sorts(p):
 @given(order_polys, order_polys, st.tuples(exponents, exponents),
        st.integers(min_value=1, max_value=3))
 def test_derived_polynomials_get_their_own_order(p, q, shift, k):
-    # p's order is cached first; nothing derived from p may reuse it
+    # negation and t -> t^k carry an order p has, mapped, since both keep
+    # graded-lex order; the other derived polynomials sort their own
+    assert all(derived is p or derived._order is None
+               for derived in (-p, p.substitute_power(k)))
     p._sorted_keys()
     q._sorted_keys()
-    for derived in (-p, p.shift(*shift), p * q, q * p,
-                    p.substitute_power(k)):
+    for derived in (-p, p.substitute_power(k)):
+        assert derived is p or derived._order is not None
+        assert_order_matches_oracles(derived)
+    for derived in (p.shift(*shift), p * q, q * p):
         assert derived is p or derived._order is None
         assert_order_matches_oracles(derived)
     assert_order_matches_oracles(p)
@@ -498,3 +507,70 @@ def test_cached_order_on_random_diagrams():
         assert_order_matches_oracles(delta)
         built += 1
     assert built == 194
+
+
+# ------------------------------------------- the integer-key expansion of Δ
+# The product it replaced, LaurentPoly.__mul__ folded over the factors onto
+# the monomial carrying Δ's shift and sign, is its oracle.
+
+def dict_product(factors):
+    s1, s2 = _center(factors)
+    sign = (-1) ** sum(f.leading_term()[1] < 0 for f in factors)
+    return reduce(mul, factors, LaurentPoly.monomial(-s1, -s2, sign))
+
+
+def refuse_product(_self, _other):
+    raise AssertionError("the expansion multiplied two LaurentPolys")
+
+
+def assert_keyed_expansion_is_the_dict_product(factors):
+    """expand()'s terms and preset order, and the expanded text at powers
+    1 and 2, against the dict product."""
+    product = dict_product(factors)
+    delta = FactoredDelta(factors)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(LaurentPoly, "__mul__", refuse_product)
+        got = delta.expand()
+    assert got._terms == product._terms
+    assert got._order == sorted(product.support(), key=oracle_grlex_key)
+    assert delta.expanded_text() == str(product)
+    assert delta.expanded_text(2) == str(product.substitute_power(2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_keyed_expansion_on_the_chain(n):
+    assert_keyed_expansion_is_the_dict_product(
+        alexander_factors(build_k2n(n)))
+
+
+def test_keyed_expansion_on_random_diagrams():
+    expanded_count = 0
+    for seed in range(2000):
+        try:
+            factors = alexander_factors(random_diagram(seed))
+            FactoredDelta(factors)
+        except ComputationError:
+            continue
+        assert_keyed_expansion_is_the_dict_product(factors)
+        expanded_count += 1
+    assert expanded_count == 1072
+
+
+def test_keyed_expansion_on_generated_trees(monkeypatch):
+    # the benchmark's default 16-node trees never reach Δ (NotDivisible),
+    # so the trees here are smaller
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1]
+                                    / "splicebench"))
+    import gen
+    expanded_count = 0
+    for seed in range(1, 30):
+        for nodes, vertices in ((3, 10), (5, 16)):
+            tree = gen.random_tree(seed, nodes, vertices)
+            try:
+                factors = alexander_factors(parse_diagram(tree.dsl()))
+                FactoredDelta(factors)
+            except ComputationError:
+                continue
+            assert_keyed_expansion_is_the_dict_product(factors)
+            expanded_count += 1
+    assert expanded_count == 17

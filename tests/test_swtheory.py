@@ -356,10 +356,12 @@ class TestPolygonsFromTheFactors:
         assert bcs.hull() == [(2 * x, 2 * y) for x, y in fresh]
 
     @pytest.mark.parametrize("n", range(1, 9))
-    def test_chain(self, n):
+    def test_chain(self, n, request):
         if 3 ** (2 * n) > MAX_TERMS:
             with pytest.raises(TooLarge):
                 alexander_polynomial(build_k2n(n))
+        elif n == 6:
+            self.assert_fresh(request.getfixturevalue("delta_k12"))
         else:
             self.assert_fresh(alexander_polynomial(build_k2n(n)))
 
